@@ -23,7 +23,7 @@ COVER_FLOOR ?= 60
 # Fuzz smoke budget for `make fuzz-smoke` (native Go fuzzing).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios fuzz-smoke ci
+.PHONY: build test test-race perfbench-test bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The benchmark harness is a separate module (perfbench/go.mod), so the
+# root build and tests never compile it; this builds and tests it against
+# the tree.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Full benchmark sweep (slow; regenerates every paper artifact repeatedly).
 bench:
@@ -112,6 +118,7 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/vrex-vet ./...
 
-# Same steps as the workflow: build, vet, gofmt, race tests, examples,
-# scenario lint + suite golden, bench smoke + JSON artifact.
-ci: build vet fmt-check test-race examples scenario-lint scenarios bench-smoke bench-json
+# Same steps as the workflow: build, vet, gofmt, race tests, the benchmark
+# module's tests, examples, scenario lint + suite golden, bench smoke + JSON
+# artifact.
+ci: build vet fmt-check test-race perfbench-test examples scenario-lint scenarios bench-smoke bench-json

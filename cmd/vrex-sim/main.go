@@ -58,8 +58,8 @@
 // -batch-max) under the named policy — fifo, edf (earliest deadline first)
 // or priority (classes rank by their position in -mix). -slo-ms sets the
 // default per-frame deadline backing the edf ordering and the SLO
-// attainment / goodput / queue-wait metrics; "none" keeps the serial
-// batch-1 timeline.
+// attainment / goodput / queue-wait metrics; "none" is fifo at batch cap
+// 1.
 //
 // -degrade arms the degradation plane (internal/degrade): the named
 // controller — static, pressure, deadline or hybrid — watches each
@@ -440,7 +440,7 @@ func main() {
 	kvCapacity := flag.String("kv-capacity", "0", "serving: per-device KV budget in GB, or 'auto' (0 disables the memory-pressure plane)")
 	spill := flag.String("spill", "none", "serving: spill policy, e.g. 'spill(evict=lru,pages=16)' (see -list-policies)")
 	pageTokens := flag.Int("page-tokens", 0, "serving: KV page size in tokens (0 = default 256)")
-	scheduler := flag.String("scheduler", "none", "serving: continuous-batching scheduler (fifo | edf | priority; 'none' keeps the serial batch-1 timeline)")
+	scheduler := flag.String("scheduler", "none", "serving: continuous-batching scheduler (fifo | edf | priority; 'none' is fifo at batch cap 1)")
 	batchMax := flag.Int("batch-max", 0, "serving: max frames coalesced per hardware step (0 = default 8; needs -scheduler)")
 	sloMS := flag.Float64("slo-ms", 0, "serving: default per-frame deadline in milliseconds (0 = one frame interval; needs -scheduler)")
 	degradeSpec := flag.String("degrade", "none", "serving: degradation controller, e.g. 'pressure(lo=0.1,hi=0.3)' or 'hybrid' ('none' disables; see -list-policies)")

@@ -11,8 +11,8 @@ import (
 type View struct {
 	// Nodes is the configured cluster size; Active the nodes in service.
 	Nodes, Active int
-	// Backlog is the mean queued seconds per in-service device (how far
-	// behind real time the fleet's timelines run).
+	// Backlog is the mean serve.FleetOps.Backlog over in-service devices:
+	// how many seconds behind real time the fleet's timelines run.
 	Backlog float64
 	// Attainment is the frame SLO attainment over the frames that arrived
 	// since the previous tick (1 when none arrived).

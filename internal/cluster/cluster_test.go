@@ -270,6 +270,42 @@ func TestAutoscalerScalesOut(t *testing.T) {
 	}
 }
 
+// TestAutoscalerScalesOutUnderScheduler: the queue scaler reads backlog
+// from the devices' ready queues, so it scales out under any scheduler that
+// falls behind, and holds when batching lets the one warm node keep up.
+func TestAutoscalerScalesOutUnderScheduler(t *testing.T) {
+	for _, policy := range []string{"fifo", "edf"} {
+		for _, batch := range []int{1, 8} {
+			cfg := Config{
+				Nodes:           twoNodes(),
+				Base:            baseServe(24),
+				Autoscaler:      mustAutoscaler(t, "queue(hi=0.5,lo=0.01)"),
+				InitialNodes:    1,
+				Rebalance:       RebalanceConfig{MaxMoves: 6, Slack: 1},
+				ControlInterval: 1,
+			}
+			cfg.Base.Stream.FPS = 2
+			cfg.Base.Scheduler = serve.SchedulerConfig{Policy: mustScheduler(t, policy), BatchMax: batch}
+			res := Run(cfg)
+			usedB := res.PerNode[1].FramesServed > 0
+			if batch == 1 && !usedB {
+				t.Fatalf("%s batch 1: autoscaler never used node b: %+v", policy, res.PerNode)
+			}
+			if batch == 8 {
+				agg := res.Serve.Aggregate
+				if usedB {
+					t.Fatalf("%s batch 8: node b served %d frames though node a keeps up",
+						policy, res.PerNode[1].FramesServed)
+				}
+				if agg.FramesDropped != 0 || agg.QueueP99 >= 0.5 {
+					t.Fatalf("%s batch 8: node a fell behind: %d drops, queue p99 %v",
+						policy, agg.FramesDropped, agg.QueueP99)
+				}
+			}
+		}
+	}
+}
+
 func TestAutoscalerHoldsColdNodesInitially(t *testing.T) {
 	// With a scaler that never scales out, InitialNodes=1 must keep all
 	// sessions on node a for the whole run.

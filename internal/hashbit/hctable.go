@@ -159,8 +159,7 @@ func (t *HCTable) Insert(tokenIdx int, key []float32, sig Signature) (clusterID,
 		t.noteMember(c, tokenIdx)
 		return best, bestDist
 	}
-	id, _ := t.insertNewCluster(tokenIdx, key, sig)
-	return id, 0
+	return t.insertNewCluster(tokenIdx, key, sig), 0
 }
 
 // AdvancePast declares every token with index < boundary "past": eligible as
@@ -276,8 +275,7 @@ func (t *HCTable) MemoryOverheadBytes(keyDim, sigBits int) int {
 }
 
 // InsertInto adds a token directly to a known cluster (bypassing the
-// nearest-signature search); the windowed clusterer uses it after matching
-// against the active set only. It returns the cluster ID.
+// nearest-signature search). It returns the cluster ID.
 func (t *HCTable) InsertInto(clusterID, tokenIdx int, key []float32) int {
 	if clusterID < 0 || clusterID >= len(t.Clusters) {
 		panic(fmt.Sprintf("hashbit: cluster ID %d out of range", clusterID))
@@ -288,8 +286,8 @@ func (t *HCTable) InsertInto(clusterID, tokenIdx int, key []float32) int {
 	return clusterID
 }
 
-// insertNewCluster founds a cluster unconditionally and returns (id, 0).
-func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) (int, int) {
+// insertNewCluster founds a cluster unconditionally and returns its ID.
+func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) int {
 	c := &Cluster{
 		ID:        len(t.Clusters),
 		TokenIdxs: []int{tokenIdx},
@@ -298,5 +296,5 @@ func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) (
 	}
 	t.Clusters = append(t.Clusters, c)
 	t.noteMember(c, tokenIdx)
-	return c.ID, 0
+	return c.ID
 }

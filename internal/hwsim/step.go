@@ -44,7 +44,7 @@ func (r StepReq) scale() float64 {
 //     prediction, and KV fetch traffic.
 //
 // A single-request step delegates to Chunk at batch 1, so a batch-1
-// scheduler reproduces the serial per-frame timeline bit for bit; the
+// scheduler prices each frame exactly as FrameLatency does; the
 // multi-request path below mirrors Chunk's per-stream formulas (frame.go) —
 // keep the two in sync. Requests with no new tokens are ignored. The caller
 // is responsible for per-stream OOM admission (see Sim.OOM); a step whose

@@ -101,8 +101,8 @@ type Scenario struct {
 	Device   string
 	Policy   string
 	Balancer string
-	// Scheduler is a serve scheduler spec ("none" keeps the serial batch-1
-	// timeline); BatchMax and SLOms mirror the -batch-max/-slo-ms flags.
+	// Scheduler is a serve scheduler spec ("none" is fifo at batch cap 1);
+	// BatchMax and SLOms mirror the -batch-max/-slo-ms flags.
 	Scheduler string
 	BatchMax  int
 	SLOms     float64
@@ -143,7 +143,7 @@ type Scenario struct {
 
 // Default returns the scenario matching cmd/vrex-sim's serving-flag
 // defaults: 8 initial 2fps sessions on one V-Rex8 for 20 s, round-robin, no
-// churn, no KV plane, serial timeline.
+// churn, no KV plane, fifo at batch cap 1.
 func Default() *Scenario {
 	return &Scenario{
 		Name:       "custom",

@@ -6,7 +6,9 @@ import "vrex/internal/named"
 // time.
 type DeviceState struct {
 	Index int
-	// Free is the simulation time at which the device's queue drains.
+	// Free is the simulation time at which the device's current step (or
+	// charged page movement) ends; work still queued behind it is not
+	// included (see FleetOps.Backlog).
 	Free float64
 	// Busy is the accumulated busy seconds so far.
 	Busy float64

@@ -98,6 +98,23 @@ func (o *FleetOps) SessionsOn(d int) []int { return o.e.sessionsOn(d) }
 // KV returns session s's current KV length in tokens.
 func (o *FleetOps) KV(s int) int { return o.e.kv[s] }
 
+// Backlog returns how far device d runs behind real time at the tick, in
+// seconds: the later of its current step's end and the wait of its oldest
+// ready item (0 when the device is idle with nothing queued).
+func (o *FleetOps) Backlog(d int) float64 {
+	e := o.e
+	b := e.devs[d].Free - o.at
+	for _, it := range e.ready[d] {
+		if w := o.at - it.at; w > b {
+			b = w
+		}
+	}
+	if b < 0 {
+		return 0
+	}
+	return b
+}
+
 // Drain takes device d out of service gracefully: the device stops
 // receiving new sessions, and every resident session migrates live to a
 // destination the run's balancer picks among the remaining up devices —
@@ -168,8 +185,8 @@ func (e *engine) takeDown(d int, at float64, fail bool) {
 	e.devs[d].Down = true
 	e.nDown++
 	e.observeDevice(EventDeviceDown, at, d)
-	if fail && e.sched != nil {
-		e.sched.dropReady(d, at)
+	if fail {
+		e.dropReady(d, at)
 	}
 	for _, s := range e.sessionsOn(d) {
 		dst := e.placeAvailable(s, at)
@@ -279,9 +296,7 @@ func (e *engine) migrateSession(s, dst int, at float64, lossy bool) {
 	} else {
 		e.plane.state[s] = e.admit(s, dst, at)
 	}
-	if e.sched != nil {
-		e.sched.moveReady(s, src, dst, at)
-	}
+	e.moveReady(s, src, dst, at)
 	e.observeMigration(at, s, dst, cost)
 }
 
@@ -321,10 +336,10 @@ func (e *engine) observeMigration(at float64, s, dst int, cost float64) {
 
 // moveReady re-homes session s's queued ready items from device src to dst,
 // keeping their policy keys and arrival order, and wakes dst up.
-func (r *schedRun) moveReady(s, src, dst int, at float64) {
-	kept := r.ready[src][:0]
+func (e *engine) moveReady(s, src, dst int, at float64) {
+	kept := e.ready[src][:0]
 	var moved []readyItem
-	for _, it := range r.ready[src] {
+	for _, it := range e.ready[src] {
 		if it.session == s {
 			moved = append(moved, it)
 		} else {
@@ -334,26 +349,19 @@ func (r *schedRun) moveReady(s, src, dst int, at float64) {
 	if len(moved) == 0 {
 		return
 	}
-	r.ready[src] = kept
-	heap.Init(&r.ready[src])
-	r.ready[dst] = append(r.ready[dst], moved...)
-	heap.Init(&r.ready[dst])
-	if !r.stepScheduled[dst] {
-		t := at
-		if r.devs[dst].Free > t {
-			t = r.devs[dst].Free
-		}
-		r.scheduleStep(dst, t)
-	}
+	e.ready[src] = kept
+	heap.Init(&e.ready[src])
+	e.ready[dst] = append(e.ready[dst], moved...)
+	heap.Init(&e.ready[dst])
+	e.wake(dst, at)
 }
 
 // dropReady drops every queued item on device d (device failure): frames
 // and queries account as dropped and their pending slots resolve.
-func (r *schedRun) dropReady(d int, at float64) {
-	e := r.engine
+func (e *engine) dropReady(d int, at float64) {
 	// Drain in heap order so the drop events observe deterministically.
-	for r.ready[d].Len() > 0 {
-		it := heap.Pop(&r.ready[d]).(readyItem)
+	for e.ready[d].Len() > 0 {
+		it := heap.Pop(&e.ready[d]).(readyItem)
 		if it.query {
 			e.metrics[it.session].QueriesDropped++
 			e.observe(EventQueryDropped, it.at, it.session, latencyNone)
@@ -361,6 +369,6 @@ func (r *schedRun) dropReady(d int, at float64) {
 			e.metrics[it.session].FramesDropped++
 			e.observe(EventFrameDropped, it.at, it.session, latencyNone)
 		}
-		r.resolve(it.session, at)
+		e.resolve(it.session, at)
 	}
 }

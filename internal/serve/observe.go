@@ -27,11 +27,11 @@ const (
 	// EventQueryDropped: a query arrived for an unadmitted session, or its
 	// KV growth could not be allocated.
 	EventQueryDropped
-	// EventBatchFormed: the scheduler plane coalesced ready work into one
-	// hardware step (Batch carries the member count, Latency the step's
-	// service time, Time the step's start). Delivered after its members'
-	// served events, with the head session's post-step KV. Never emitted on
-	// the serial batch-1 timeline.
+	// EventBatchFormed: the scheduler plane formed one hardware step from
+	// ready work (Batch carries the member count, Latency the step's service
+	// time, Time the step's start). Delivered after its members' served
+	// events, with the head session's post-step KV. Emitted for every step,
+	// including each solo step at batch cap 1.
 	EventBatchFormed
 	// EventDeadlineMissed: a served frame completed after its class deadline
 	// (StreamClass.SLO); emitted right after the frame's EventFrameServed
@@ -101,9 +101,8 @@ func (k EventKind) String() string {
 
 // Event is one scheduling observation. Events are delivered from the
 // single-threaded device loop in a deterministic order for every Workers
-// setting: global arrival order on the serial timeline; under the scheduler
-// plane, arrivals are delivered on arrival and served/missed events when
-// their batch forms, so Time is not globally monotone there.
+// setting: arrivals are delivered on arrival and served/missed events when
+// their step forms, so Time is not globally monotone.
 type Event struct {
 	Kind EventKind
 	// Time is the arrival time of the underlying work (not its completion);

@@ -16,35 +16,28 @@ import (
 const DefaultBatchMax = 8
 
 // SchedulerConfig configures the per-device continuous-batching scheduler
-// plane. When enabled, frame and query arrivals queue per device and the
-// device forms one hardware step whenever it is free: ready frames coalesce
-// (up to BatchMax) into a single batched step priced by hwsim.Step — one
-// weight read and one fixed host overhead for the whole batch — while
-// queries (prefill + full answer) always execute as solo steps. The policy
-// orders the ready queue; per-class deadlines (StreamClass.SLO) drive the
-// edf policy and the SLO/goodput metrics.
+// plane. Frame and query arrivals queue per device and the device forms one
+// hardware step whenever it is free: ready frames coalesce (up to BatchMax)
+// into a single batched step priced by hwsim.Step — one weight read and one
+// fixed host overhead for the whole batch — while queries (prefill + full
+// answer) always execute as solo steps. The policy orders the ready queue;
+// per-class deadlines (StreamClass.SLO) drive the edf policy and the
+// SLO/goodput metrics.
 //
-// The zero value (nil Policy) disables the plane entirely: Run executes the
-// original serial arrival-order timeline byte for byte. An enabled scheduler
-// with the fifo policy and BatchMax 1 reproduces that serial timeline's
-// latencies, drops and service decisions exactly (steps form in arrival
-// order at the same instants); only resident-KV high-water accounting can
-// shift, because the plane counts KV growth at service rather than arrival
-// time and holds a departed session's pages until its queued work drains.
+// The zero value (nil Policy) is fifo at batch cap 1: every frame and query
+// is its own step, served in arrival order.
 type SchedulerConfig struct {
-	// Policy orders ready work at each batch-formation point; nil disables
-	// the scheduler plane. Build one with ParseScheduler ("fifo", "edf",
+	// Policy orders ready work at each batch-formation point; nil means fifo
+	// at batch cap 1. Build one with ParseScheduler ("fifo", "edf",
 	// "priority") or implement Scheduler directly.
 	Policy Scheduler
-	// BatchMax caps the frames coalesced into one hardware step
-	// (DefaultBatchMax when 0, 1 restores one-item steps).
+	// BatchMax caps the frames coalesced into one hardware step when Policy
+	// is set (DefaultBatchMax when 0, 1 restores one-item steps).
 	BatchMax int
 	// SLO is the default frame deadline in seconds for classes that leave
 	// StreamClass.SLO unset; 0 falls back to one frame interval (1/FPS).
 	SLO float64
 }
-
-func (c SchedulerConfig) enabled() bool { return c.Policy != nil }
 
 // WorkItem is the scheduling policy's view of one queued frame or query.
 type WorkItem struct {
@@ -116,7 +109,8 @@ func RegisterScheduler(name string, f func(*policyspec.Spec) (Scheduler, error))
 func SchedulerNames() []string { return schedulers.Names() }
 
 // ParseScheduler builds a scheduling policy from a policyspec string
-// ("fifo", "edf", "priority"); "" and "none" return nil (plane disabled).
+// ("fifo", "edf", "priority"); "" and "none" return nil (fifo at batch cap
+// 1).
 func ParseScheduler(spec string) (Scheduler, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || strings.EqualFold(spec, "none") {
@@ -175,54 +169,34 @@ type batchMember struct {
 	paging float64
 }
 
-// schedRun is the scheduler plane's per-run state on top of the engine:
-// per-device ready heaps, at most one pending wake-up per device, and the
-// per-session pending-work counts that defer a departed session's KV release
-// until its queued work drains.
-type schedRun struct {
-	*engine
-	sched    Scheduler
-	batchMax int
-	events   *eventHeap
-	ready    []readyHeap
-	// stepScheduled marks devices with a wake-up already on the event heap.
-	stepScheduled []bool
-	// stepSeq numbers wake-ups above every arrival's seq, so at equal
-	// timestamps arrivals enqueue before the batch forms.
-	stepSeq int
-	pending []int
-	ended   []bool
-	// reqs / members are per-step scratch buffers reused across batch
-	// formations.
-	reqs    []hwsim.StepReq
-	members []batchMember
+// initScheduler resolves the scheduler plane for a run over events: a nil
+// Policy is fifo at batch cap 1, and DefaultBatchMax fills an unset cap only
+// when a policy is set.
+func (e *engine) initScheduler(events *eventHeap) {
+	e.sched, e.batchMax = e.cfg.Scheduler.Policy, e.cfg.Scheduler.BatchMax
+	if e.sched == nil {
+		e.sched, e.batchMax = fifoSched{}, 1
+	} else if e.batchMax <= 0 {
+		e.batchMax = DefaultBatchMax
+	}
+	e.events = events
+	e.ready = make([]readyHeap, e.nDev)
+	e.stepScheduled = make([]bool, e.nDev)
+	e.stepSeq = events.Len()
+	e.pending = make([]int, len(e.sessions))
+	e.ended = make([]bool, len(e.sessions))
+	e.reqs = make([]hwsim.StepReq, 0, e.batchMax)
 }
 
-// runScheduled is the continuous-batching timeline: arrivals enqueue onto
-// their device's ready heap and the device forms policy-ordered steps
-// whenever it is free.
-func (e *engine) runScheduled(events *eventHeap) {
-	batchMax := e.cfg.Scheduler.BatchMax
-	if batchMax <= 0 {
-		batchMax = DefaultBatchMax
-	}
-	r := &schedRun{
-		engine: e, sched: e.cfg.Scheduler.Policy, batchMax: batchMax,
-		events:        events,
-		ready:         make([]readyHeap, e.nDev),
-		stepScheduled: make([]bool, e.nDev),
-		stepSeq:       events.Len(),
-		pending:       make([]int, len(e.sessions)),
-		ended:         make([]bool, len(e.sessions)),
-		reqs:          make([]hwsim.StepReq, 0, batchMax),
-	}
-	e.sched = r
-	for events.Len() > 0 {
-		ev := heap.Pop(events).(event)
+// run is the event loop: arrivals enqueue onto their device's ready heap
+// and the device forms policy-ordered steps whenever it is free.
+func (e *engine) run() {
+	for e.events.Len() > 0 {
+		ev := heap.Pop(e.events).(event)
 		if ev.kind == evStep {
 			d := ev.session
-			r.stepScheduled[d] = false
-			r.formBatch(d, ev.at)
+			e.stepScheduled[d] = false
+			e.formBatch(d, ev.at)
 			continue
 		}
 		if ev.kind == evControl {
@@ -239,10 +213,10 @@ func (e *engine) runScheduled(events *eventHeap) {
 			e.devs[d].ActiveSessions--
 			e.devs[d].ClassSessions[sess.class]--
 			e.alive[ev.session] = false
-			if r.pending[ev.session] > 0 {
+			if e.pending[ev.session] > 0 {
 				// Queued work outlives the session: hold its KV (and pool
 				// pages) until the last pending item resolves.
-				r.ended[ev.session] = true
+				e.ended[ev.session] = true
 			} else {
 				e.releaseSession(ev.session, ev.at)
 			}
@@ -250,68 +224,61 @@ func (e *engine) runScheduled(events *eventHeap) {
 			continue
 		}
 		m := &e.metrics[ev.session]
-		if e.devs[sess.device].Down {
-			// The session could not be moved off its failed device (or every
-			// device is down): its work drops until service resumes.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		if e.plane != nil && e.plane.state[ev.session] != sessAdmitted {
-			// Queued or rejected sessions hold no pages: their frames drop
-			// and their queries go unanswered until admission.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
 		if ev.kind == evFrame {
 			m.FramesArrived++
 		}
+		// A session on a down device (it could not be moved off, or every
+		// device is down) and a queued or rejected session (it holds no
+		// pages) drop their frames and leave their queries unanswered.
+		if e.devs[sess.device].Down || (e.plane != nil && e.plane.state[ev.session] != sessAdmitted) {
+			if ev.kind == evFrame {
+				m.FramesDropped++
+				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
+			} else {
+				m.QueriesDropped++
+				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
+			}
+			continue
+		}
 		d := sess.device
 		it := readyItem{at: ev.at, seq: ev.seq, session: ev.session, query: ev.kind == evQuery}
-		it.key = r.sched.Key(WorkItem{
+		it.key = e.sched.Key(WorkItem{
 			Session: ev.session, Class: sess.class,
 			Priority: e.classes[sess.class].Priority, Query: it.query,
 			Arrival: ev.at, Deadline: ev.at + e.slo[sess.class],
 		})
-		heap.Push(&r.ready[d], it)
-		r.pending[ev.session]++
-		if !r.stepScheduled[d] {
-			t := ev.at
-			if e.devs[d].Free > t {
-				t = e.devs[d].Free
-			}
-			r.scheduleStep(d, t)
-		}
+		heap.Push(&e.ready[d], it)
+		e.pending[ev.session]++
+		e.wake(d, ev.at)
 	}
+}
+
+// wake schedules device d's next wake-up at the later of at and the end of
+// its current step, unless one is already pending.
+func (e *engine) wake(d int, at float64) {
+	if e.stepScheduled[d] {
+		return
+	}
+	if e.devs[d].Free > at {
+		at = e.devs[d].Free
+	}
+	e.scheduleStep(d, at)
 }
 
 // scheduleStep pushes device d's next wake-up at time t; the caller
 // guarantees no wake-up is pending.
-func (r *schedRun) scheduleStep(d int, t float64) {
-	heap.Push(r.events, event{at: t, session: d, kind: evStep, seq: r.stepSeq})
-	r.stepSeq++
-	r.stepScheduled[d] = true
+func (e *engine) scheduleStep(d int, t float64) {
+	heap.Push(e.events, event{at: t, session: d, kind: evStep, seq: e.stepSeq})
+	e.stepSeq++
+	e.stepScheduled[d] = true
 }
 
 // resolve retires one pending item (served or dropped) for session s,
 // releasing the session's KV once it has departed and drained.
-func (r *schedRun) resolve(s int, at float64) {
-	r.pending[s]--
-	if r.ended[s] && r.pending[s] == 0 {
-		r.releaseSession(s, at)
+func (e *engine) resolve(s int, at float64) {
+	e.pending[s]--
+	if e.ended[s] && e.pending[s] == 0 {
+		e.releaseSession(s, at)
 	}
 }
 
@@ -319,63 +286,80 @@ func (r *schedRun) resolve(s int, at float64) {
 // items in policy order, dropping stale or unallocatable frames, until one
 // hardware step forms — a frame batch up to batchMax, or a solo query — then
 // charge it and schedule the next wake-up at the step's completion.
-func (r *schedRun) formBatch(d int, at float64) {
-	e := r.engine
-	q := &r.ready[d]
+func (e *engine) formBatch(d int, at float64) {
+	q := &e.ready[d]
 	if q.Len() == 0 {
 		return
 	}
 	if e.devs[d].Down {
 		// The device died with work queued (it could not be moved): drop it.
-		r.dropReady(d, at)
+		e.dropReady(d, at)
 		return
 	}
 	if e.devs[d].Free > at {
 		// The device picked up work (admission paging) after this wake-up
 		// was scheduled; form the batch when it actually frees up.
-		r.scheduleStep(d, e.devs[d].Free)
+		e.scheduleStep(d, e.devs[d].Free)
 		return
 	}
 	for q.Len() > 0 {
 		head := heap.Pop(q).(readyItem)
 		if head.query {
-			if r.serveQuery(d, head, at) {
+			if e.serveQuery(d, head, at) {
 				break
 			}
 			continue // dropped without occupying the device; keep picking
 		}
-		paging, ok := r.admitFrame(d, head, at)
+		paging, ok := e.admitFrame(d, head, at)
 		if !ok {
 			continue
 		}
-		members := append(r.members[:0], batchMember{it: head, paging: paging})
+		members := append(e.members[:0], batchMember{it: head, paging: paging})
 		// Extend the step with ready frames in strict policy order: a query
 		// at the front ends the batch rather than being overtaken.
-		for len(members) < r.batchMax && q.Len() > 0 && !(*q)[0].query {
+		for len(members) < e.batchMax && q.Len() > 0 && !(*q)[0].query {
 			it := heap.Pop(q).(readyItem)
-			p, ok := r.admitFrame(d, it, at)
+			p, ok := e.admitFrame(d, it, at)
 			if !ok {
 				continue
 			}
 			members = append(members, batchMember{it: it, paging: p})
 		}
-		r.serveFrames(d, members, at)
-		r.members = members[:0]
+		e.serveFrames(d, members, at)
+		e.members = members[:0]
 		break
 	}
 	if q.Len() > 0 {
-		r.scheduleStep(d, e.devs[d].Free)
+		e.scheduleStep(d, e.devs[d].Free)
 	}
 }
 
-// admitFrame runs the engine's shared per-frame admission for a batch
-// candidate at formation time `at` (which is the member's service start,
-// exactly as the serial timeline measures the drop threshold); on failure
-// the dropped frame's pending slot resolves.
-func (r *schedRun) admitFrame(d int, it readyItem, at float64) (paging float64, ok bool) {
-	paging, ok = r.admitFrameAt(it.session, d, it.at, at)
+// admitFrame applies per-frame admission to ready frame it on device d at
+// its service start: the drop threshold (measured from arrival to service
+// start), the device-memory check, and — with the memory-pressure plane —
+// reserving pages for the frame's new tokens and making the session fully
+// resident (the returned page-movement time lands on the device timeline
+// before the frame's step, like any other work). A failure drops the frame
+// with its accounting and retires its pending slot.
+func (e *engine) admitFrame(d int, it readyItem, start float64) (paging float64, ok bool) {
+	s := it.session
+	e.degradeDecide(s, d, it.at)
+	sc := e.classes[e.sessions[s].class].Stream
+	ok = !(e.cfg.DropThreshold > 0 && start-it.at > e.cfg.DropThreshold*(1/sc.FPS)) &&
+		!e.simFor(d, s).OOM(e.kv[s], 1)
+	if ok && e.plane != nil {
+		pool := e.plane.pools[d]
+		var growSpill float64
+		if growSpill, ok = pool.Grow(s, sc.TokensPerFrame, it.at); ok {
+			pageIn, pageOut := pool.Touch(s, it.at)
+			paging = growSpill + pageIn + pageOut
+			e.profPaging(d, start, growSpill+pageOut, pageIn)
+		}
+	}
 	if !ok {
-		r.resolve(it.session, at)
+		e.metrics[s].FramesDropped++
+		e.observe(EventFrameDropped, it.at, s, latencyNone)
+		e.resolve(s, start)
 	}
 	return paging, ok
 }
@@ -388,15 +372,14 @@ func (r *schedRun) admitFrame(d int, it readyItem, at float64) (paging float64, 
 // sample. The batch-formed event follows the members' served events and
 // carries the head session's post-step KV, matching the query step's
 // convention.
-func (r *schedRun) serveFrames(d int, members []batchMember, at float64) {
-	e := r.engine
+func (e *engine) serveFrames(d int, members []batchMember, at float64) {
 	dev := &e.devs[d]
 	start := at
 	if dev.Free > start {
 		start = dev.Free
 	}
 	paging := 0.0
-	reqs := r.reqs[:0]
+	reqs := e.reqs[:0]
 	for _, mb := range members {
 		sc := e.classes[e.sessions[mb.it.session].class].Stream
 		req := hwsim.StepReq{
@@ -439,29 +422,63 @@ func (r *schedRun) serveFrames(d int, members []batchMember, at float64) {
 		e.latencies[s] = append(e.latencies[s], lat)
 		e.observe(EventFrameServed, mb.it.at, s, lat)
 		e.served(s, d, mb.it.at, start-mb.it.at, lat, true)
-		r.resolve(s, at)
+		e.resolve(s, at)
 	}
 	e.observeBatch(at, d, members[0].it.session, len(members), total)
-	r.reqs = reqs[:0]
+	e.reqs = reqs[:0]
 }
 
-// serveQuery charges one solo query step through the engine's shared query
-// pricing (exactly the serial timeline's arithmetic); it reports whether the
-// device was occupied (false when the query dropped on KV allocation
-// failure). The batch-formed event follows the query's served event, since
-// the step's service time is only known after pricing.
-func (r *schedRun) serveQuery(d int, it readyItem, at float64) bool {
-	e := r.engine
+// serveQuery charges ready query it as one solo step on device d at
+// formation time at: prefill plus the full answer, KV growing token by
+// token. It reports whether the device was occupied (false when the
+// memory-pressure plane could not allocate the KV growth — the query
+// drops). Either way the query's pending slot retires. The batch-formed
+// event follows the query's served event, since the step's service time is
+// only known after pricing.
+func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
+	s, arrival := it.session, it.at
+	e.degradeDecide(s, d, arrival)
+	sc := e.classes[e.sessions[s].class].Stream
+	m := &e.metrics[s]
+	dev := &e.devs[d]
 	start := at
-	if e.devs[d].Free > start {
-		start = e.devs[d].Free
+	if dev.Free > start {
+		start = dev.Free
 	}
-	total, ok := e.serveQueryAt(it.session, d, it.at, start)
-	if ok {
-		e.observeBatch(at, d, it.session, 1, total)
+	paging := 0.0
+	if e.plane != nil {
+		pool := e.plane.pools[d]
+		growSpill, ok := pool.Grow(s, sc.QueryTokens+sc.AnswerTokens, arrival)
+		if !ok {
+			m.QueriesDropped++
+			e.observe(EventQueryDropped, arrival, s, latencyNone)
+			e.resolve(s, at)
+			return false
+		}
+		pageIn, pageOut := pool.Touch(s, arrival)
+		paging = growSpill + pageIn + pageOut
+		e.profPaging(d, start, growSpill+pageOut, pageIn)
 	}
-	r.resolve(it.session, at)
-	return ok
+	sim := e.simFor(d, s)
+	total := sim.Chunk(sc.QueryTokens, e.kv[s], 1, hwsim.StageTextPhase).Total
+	e.kv[s] += sc.QueryTokens
+	for i := 0; i < sc.AnswerTokens; i++ {
+		total += sim.TPOT(e.kv[s], 1).Total
+		e.kv[s]++
+	}
+	dev.Free = start + paging + total
+	dev.Busy += paging + total
+	e.profCharge(paging + total)
+	dev.ResidentKV += sc.QueryTokens + sc.AnswerTokens
+	e.trackPeak(d)
+	m.QueriesServed++
+	e.devMetrics[d].QueriesServed++
+	e.devMetrics[d].Batches++
+	e.observe(EventQueryServed, arrival, s, dev.Free-arrival)
+	e.served(s, d, arrival, start-arrival, dev.Free-arrival, false)
+	e.observeBatch(at, d, s, 1, total)
+	e.resolve(s, at)
+	return true
 }
 
 // observeBatch emits an EventBatchFormed for a step of `size` items headed

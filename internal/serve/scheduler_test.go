@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/heap"
 	"math"
 	"reflect"
 	"runtime"
@@ -45,12 +46,86 @@ func TestParseScheduler(t *testing.T) {
 	}
 }
 
+// runSerial is the reference oracle for the event loop: the batch-1
+// timeline formulated without ready queues or step events. Every arrival is
+// charged to its device in global arrival order, one hardware step per frame
+// or query, so a nil-policy Run (fifo at batch cap 1) must reproduce it. It
+// shares only the engine's build and reduce steps, per-frame admission and
+// query pricing with the loop under test.
+func runSerial(cfg Config) Result {
+	e := newEngine(cfg)
+	for e.events.Len() > 0 {
+		ev := heap.Pop(e.events).(event)
+		if ev.kind == evControl {
+			e.handleControl(ev.at)
+			continue
+		}
+		sess := &e.sessions[ev.session]
+		sc := e.classes[sess.class].Stream
+		switch ev.kind {
+		case evStart:
+			e.startSession(ev)
+			continue
+		case evEnd:
+			d := sess.device
+			e.devs[d].ActiveSessions--
+			e.alive[ev.session] = false
+			e.releaseSession(ev.session, ev.at)
+			e.devs[d].ClassSessions[sess.class]--
+			e.observe(EventSessionEnd, ev.at, ev.session, latencyNone)
+			continue
+		}
+		m := &e.metrics[ev.session]
+		dev := &e.devs[sess.device]
+		if ev.kind == evFrame {
+			m.FramesArrived++
+		}
+		if dev.Down || (e.plane != nil && e.plane.state[ev.session] != sessAdmitted) {
+			if ev.kind == evFrame {
+				m.FramesDropped++
+			} else {
+				m.QueriesDropped++
+			}
+			continue
+		}
+		start := dev.Free
+		if ev.at > start {
+			start = ev.at
+		}
+		// The arrival holds a pending slot while it is admitted and priced:
+		// a dropped frame or any query retires it inside the engine, a
+		// served frame below.
+		e.pending[ev.session]++
+		it := readyItem{at: ev.at, session: ev.session, query: ev.kind == evQuery}
+		if it.query {
+			e.serveQuery(sess.device, it, ev.at)
+			continue
+		}
+		paging, ok := e.admitFrame(sess.device, it, start)
+		if !ok {
+			continue
+		}
+		e.pending[ev.session]--
+		b := e.simFor(sess.device, ev.session).FrameLatency(sc.TokensPerFrame, e.kv[ev.session], 1)
+		dev.Free = start + paging + b.Total
+		dev.Busy += paging + b.Total
+		e.kv[ev.session] += sc.TokensPerFrame
+		dev.ResidentKV += sc.TokensPerFrame
+		e.trackPeak(sess.device)
+		m.FramesServed++
+		e.devMetrics[sess.device].FramesServed++
+		e.devMetrics[sess.device].Batches++
+		e.latencies[ev.session] = append(e.latencies[ev.session], dev.Free-ev.at)
+		e.served(ev.session, sess.device, ev.at, start-ev.at, dev.Free-ev.at, true)
+	}
+	return e.result()
+}
+
 // stripPeaks zeroes the resident-KV high-water marks, the one account the
-// scheduler plane legitimately shifts: it counts KV growth at service rather
-// than arrival time and holds a departed session's pages until its queued
-// work drains, so a frame in flight across a departure moves the peak (the
-// SchedulerConfig contract documents this). Everything else must match
-// exactly.
+// event loop legitimately shifts from the serial oracle: it counts KV growth
+// at service rather than arrival time and holds a departed session's pages
+// until its queued work drains, so a frame in flight across a departure
+// moves the peak. Everything else must match exactly.
 func stripPeaks(res Result) Result {
 	res.PerDevice = append([]DeviceMetrics(nil), res.PerDevice...)
 	for d := range res.PerDevice {
@@ -60,13 +135,14 @@ func stripPeaks(res Result) Result {
 	return res
 }
 
-// TestBatch1FifoMatchesSerial is the simulator-correctness anchor: a batch-1
-// FIFO scheduler must reproduce the pre-scheduler serial timeline exactly —
-// underloaded fleets with queries, an overloaded single device with drops,
-// and the KV memory-pressure plane with active spilling — across worker
-// counts 1, 4 and GOMAXPROCS (mirroring pressure_test.go). Latencies, drop
-// decisions, paging and utilization are compared bit for bit; only the
-// resident-KV peaks are normalised (see stripPeaks).
+// TestBatch1FifoMatchesSerial is the simulator-correctness anchor: a
+// nil-policy run (fifo at batch cap 1), and an explicit fifo scheduler at
+// BatchMax 1, must reproduce the serial oracle exactly — underloaded fleets
+// with queries, an overloaded single device with drops, and the KV
+// memory-pressure plane with active spilling — across worker counts 1, 4
+// and GOMAXPROCS (mirroring pressure_test.go). Latencies, drop decisions,
+// paging and utilization are compared bit for bit; only the resident-KV
+// peaks are normalised (see stripPeaks).
 func TestBatch1FifoMatchesSerial(t *testing.T) {
 	scenarios := map[string]Config{}
 
@@ -87,16 +163,18 @@ func TestBatch1FifoMatchesSerial(t *testing.T) {
 	for name, cfg := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				serial := cfg
-				serial.Workers = w
-				sched := serial
-				sched.Scheduler = SchedulerConfig{Policy: mustScheduler(t, "fifo"), BatchMax: 1}
-				a, b := Run(serial), Run(sched)
-				if !reflect.DeepEqual(stripPeaks(a), stripPeaks(b)) {
-					t.Fatalf("workers=%d: batch-1 fifo diverged from serial timeline:\nserial %+v\nsched  %+v",
-						w, a.Aggregate, b.Aggregate)
+				cfg.Workers = w
+				fifo := cfg
+				fifo.Scheduler = SchedulerConfig{Policy: mustScheduler(t, "fifo"), BatchMax: 1}
+				want := stripPeaks(runSerial(cfg))
+				for policy, c := range map[string]Config{"nil": cfg, "fifo": fifo} {
+					got := Run(c)
+					if !reflect.DeepEqual(want, stripPeaks(got)) {
+						t.Fatalf("workers=%d: %s policy diverged from the serial oracle:\nserial %+v\nrun    %+v",
+							w, policy, want.Aggregate, got.Aggregate)
+					}
 				}
-				if b.Aggregate.FramesServed == 0 {
+				if want.Aggregate.FramesServed == 0 {
 					t.Fatal("scenario served nothing")
 				}
 			}
@@ -270,9 +348,10 @@ func TestDroppedEventLatencyIsNaN(t *testing.T) {
 	drops, serves := 0, 0
 	cfg.Observer = ObserverFunc(func(e Event) {
 		switch e.Kind {
-		case EventFrameServed, EventQueryServed, EventDeadlineMissed:
-			if math.IsNaN(e.Latency) || e.Latency <= 0 {
-				t.Fatalf("served event latency %v", e.Latency)
+		case EventFrameServed, EventQueryServed, EventDeadlineMissed, EventBatchFormed:
+			// Batch-formed carries the step's service time.
+			if math.IsNaN(e.Latency) || math.IsInf(e.Latency, 0) || e.Latency <= 0 {
+				t.Fatalf("%v event latency %v, want finite and positive", e.Kind, e.Latency)
 			}
 			serves++
 		default:
@@ -290,9 +369,9 @@ func TestDroppedEventLatencyIsNaN(t *testing.T) {
 	}
 }
 
-// TestSerialSLOAccounting: the SLO/queue metrics exist on the serial
-// timeline too (one hardware step per served item), so scheduler sweeps have
-// an apples-to-apples batch-1 reference.
+// TestSerialSLOAccounting: the SLO/queue metrics exist for a nil policy
+// too (fifo at batch cap 1, one hardware step per served item), so scheduler
+// sweeps have an apples-to-apples batch-1 reference.
 func TestSerialSLOAccounting(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 2)
 	cfg.Stream.QueryEvery = 7
@@ -310,7 +389,7 @@ func TestSerialSLOAccounting(t *testing.T) {
 	}
 	dm := res.PerDevice[0]
 	if dm.Batches != agg.FramesServed+agg.QueriesServed {
-		t.Fatalf("serial timeline: %d steps for %d served items", dm.Batches, agg.FramesServed+agg.QueriesServed)
+		t.Fatalf("batch cap 1: %d steps for %d served items", dm.Batches, agg.FramesServed+agg.QueriesServed)
 	}
 	if dm.MeanQueueWait < 0 {
 		t.Fatalf("negative mean queue wait %v", dm.MeanQueueWait)

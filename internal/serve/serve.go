@@ -2,8 +2,9 @@
 // Scenario API: a fleet of devices serves concurrent video sessions drawn
 // from a weighted mix of stream classes, frames arrive in real time, queries
 // interleave, whole sessions arrive and depart (open-loop churn), and a
-// pluggable balancer places each session on a device. The scheduler
-// processes work in arrival order with optional frame dropping under
+// pluggable balancer places each session on a device. Each device forms
+// hardware steps from its ready queue under a pluggable scheduling policy
+// (fifo at batch cap 1 by default), with optional frame dropping under
 // backlog. It quantifies the paper's closing claim — "clear potential for
 // scalable deployment in large-scale server environments" — by measuring how
 // many concurrent real-time streams each system sustains (the `scale` and
@@ -139,11 +140,11 @@ type Config struct {
 	// The zero value disables it and Run reduces exactly to the unpooled
 	// simulation.
 	KV KVConfig
-	// Scheduler enables the per-device continuous-batching scheduler plane:
-	// ready frames from co-resident sessions coalesce into one hardware step
-	// under a pluggable, deadline-aware policy (see SchedulerConfig). The
-	// zero value disables it and Run reduces exactly to the serial
-	// arrival-order batch-1 timeline.
+	// Scheduler configures the per-device continuous-batching scheduler
+	// plane: ready frames from co-resident sessions coalesce into one
+	// hardware step under a pluggable, deadline-aware policy (see
+	// SchedulerConfig). The zero value is fifo at batch cap 1: one step per
+	// frame or query, in arrival order.
 	Scheduler SchedulerConfig
 	// Degrade enables the accuracy-aware graceful-degradation plane: a
 	// controller shrinks KV-pressured or deadline-missing sessions' retrieval
@@ -288,9 +289,9 @@ type DeviceMetrics struct {
 	// the device's physical pool). Tracked whether or not the
 	// memory-pressure plane is enabled.
 	PeakResidentKV int
-	// Batches counts hardware steps the device executed: one per served
-	// frame or query on the serial timeline, one per coalesced step under
-	// the scheduler plane (so FramesServed/Batches is the mean frame batch).
+	// Batches counts hardware steps the device executed: one per coalesced
+	// frame step and one per query, so FramesServed/Batches is the mean frame
+	// batch (exactly one frame per step at batch cap 1).
 	Batches int
 	// MeanQueueWait is the mean time served frames and queries spent queued
 	// before service started on this device.
@@ -350,7 +351,7 @@ const (
 	evControl
 )
 
-// event is one arrival (or, under the scheduler plane, a device wake-up).
+// event is one arrival, controller tick or device wake-up.
 type event struct {
 	at      float64
 	session int
@@ -576,6 +577,14 @@ func validate(cfg Config, classes []StreamClass) {
 
 // Run executes the serving simulation.
 func Run(cfg Config) Result {
+	e := newEngine(cfg)
+	e.run()
+	return e.result()
+}
+
+// newEngine validates cfg and builds one run's state: the session plan, the
+// merged arrival and controller-tick schedule, and every enabled plane.
+func newEngine(cfg Config) *engine {
 	classes := cfg.classes()
 	validate(cfg, classes)
 	sessions := buildSessions(cfg, classes)
@@ -626,13 +635,13 @@ func Run(cfg Config) Result {
 		evs = append(evs, event{at: sess.end, session: s, kind: evEnd})
 		return evs
 	})
-	var events eventHeap
+	events := &eventHeap{}
 	seq := 0
 	for _, evs := range perSession {
 		for _, ev := range evs {
 			ev.seq = seq
 			seq++
-			events = append(events, ev)
+			*events = append(*events, ev)
 		}
 	}
 	// Controller ticks seq above every arrival (and below the scheduler's
@@ -640,11 +649,11 @@ func Run(cfg Config) Result {
 	// tick sees the arrivals that just landed and runs before batches form.
 	if cfg.Control.enabled() {
 		for _, t := range cfg.Control.tickTimes(cfg.Duration) {
-			events = append(events, event{at: t, session: -1, kind: evControl, seq: seq})
+			*events = append(*events, event{at: t, session: -1, kind: evControl, seq: seq})
 			seq++
 		}
 	}
-	heap.Init(&events)
+	heap.Init(events)
 
 	e := &engine{
 		cfg: cfg, classes: classes, sims: sims, sessions: sessions,
@@ -698,12 +707,13 @@ func Run(cfg Config) Result {
 		}
 	}
 	e.deg = newDegradePlane(cfg, len(sessions), nDev)
+	e.initScheduler(events)
+	return e
+}
 
-	if cfg.Scheduler.enabled() {
-		e.runScheduled(&events)
-	} else {
-		e.runSerial(&events)
-	}
+// result reduces a finished run's state into its Result.
+func (e *engine) result() Result {
+	cfg, classes, sessions, nDev := e.cfg, e.classes, e.sessions, e.nDev
 	kv, metrics, latencies := e.kv, e.metrics, e.latencies
 	devs, devMetrics, plane := e.devs, e.devMetrics, e.plane
 
@@ -763,10 +773,10 @@ func Run(cfg Config) Result {
 	return res
 }
 
-// engine bundles one Run's mutable state so the serial and scheduled event
-// loops (this file / scheduler.go) share the same arrival, admission and
-// accounting machinery. Both loops are single-threaded; Workers parallelism
-// stays confined to schedule construction and metric reduction.
+// engine bundles one Run's mutable state: the arrival, admission and
+// accounting machinery here and the scheduler plane's ready queues and
+// event loop (scheduler.go). The loop is single-threaded; Workers
+// parallelism stays confined to schedule construction and metric reduction.
 type engine struct {
 	cfg     Config
 	classes []StreamClass
@@ -799,17 +809,36 @@ type engine struct {
 
 	// Control-plane state, all idle without a controller: alive marks
 	// sessions between their start and end events, resident marks sessions
-	// holding a device slot (start to KV release — under the scheduler plane
-	// release can outlive the end event), nDown counts out-of-service
-	// devices, upScratch is the filtered-fleet scratch for placement, sched
-	// points at the scheduler plane's run state (nil on the serial
-	// timeline), and mig accumulates migration totals.
+	// holding a device slot (start to KV release, which can outlive the end
+	// event while queued work drains), nDown counts out-of-service devices,
+	// upScratch is the filtered-fleet scratch for placement, and mig
+	// accumulates migration totals.
 	alive     []bool
 	resident  []bool
 	nDown     int
 	upScratch []DeviceState
-	sched     *schedRun
 	mig       MigrationMetrics
+
+	// Scheduler-plane state: the policy and batch cap in force (fifo at cap 1
+	// for a nil Policy), the run's event heap, per-device ready heaps, at
+	// most one pending wake-up per device, and the per-session pending-work
+	// counts that defer a departed session's KV release until its queued
+	// work drains.
+	sched    Scheduler
+	batchMax int
+	events   *eventHeap
+	ready    []readyHeap
+	// stepScheduled marks devices with a wake-up already on the event heap.
+	stepScheduled []bool
+	// stepSeq numbers wake-ups above every arrival's seq, so at equal
+	// timestamps arrivals enqueue before the batch forms.
+	stepSeq int
+	pending []int
+	ended   []bool
+	// reqs / members are per-step scratch buffers reused across batch
+	// formations.
+	reqs    []hwsim.StepReq
+	members []batchMember
 
 	// Telemetry-plane hooks, both nil with Config.Telemetry zero: tel
 	// receives events and device stalls alongside cfg.Observer, prof
@@ -945,9 +974,8 @@ func (e *engine) startSession(ev event) {
 
 // releaseSession returns session s's KV to device d: the balancer-visible
 // resident count drops and (with the plane) its pages free up, unblocking
-// the admission queue. On the serial timeline this happens at the evEnd
-// event; the scheduler plane defers it until the session's queued work has
-// drained (see schedRun.resolve).
+// the admission queue. It runs at the evEnd event, or, when the session
+// still has queued work, once that work drains (see engine.resolve).
 func (e *engine) releaseSession(s int, at float64) {
 	d := e.sessions[s].device
 	if e.plane == nil {
@@ -980,172 +1008,6 @@ func (e *engine) served(s, d int, at, wait, lat float64, frame bool) {
 		e.observe(EventDeadlineMissed, at, s, lat)
 	}
 	e.degradeServed(s, lat, frame)
-}
-
-// runSerial is the original batch-1 timeline: every arrival is charged to
-// its device in global arrival order, one hardware step per frame or query.
-func (e *engine) runSerial(events *eventHeap) {
-	for events.Len() > 0 {
-		ev := heap.Pop(events).(event)
-		if ev.kind == evControl {
-			e.handleControl(ev.at)
-			continue
-		}
-		sess := &e.sessions[ev.session]
-		sc := e.classes[sess.class].Stream
-		switch ev.kind {
-		case evStart:
-			e.startSession(ev)
-			continue
-		case evEnd:
-			d := sess.device
-			e.devs[d].ActiveSessions--
-			e.alive[ev.session] = false
-			e.releaseSession(ev.session, ev.at)
-			e.devs[d].ClassSessions[sess.class]--
-			e.observe(EventSessionEnd, ev.at, ev.session, latencyNone)
-			continue
-		}
-		m := &e.metrics[ev.session]
-		dev := &e.devs[sess.device]
-		if dev.Down {
-			// The session could not be moved off its failed device (or every
-			// device is down): its work drops until service resumes.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		if e.plane != nil && e.plane.state[ev.session] != sessAdmitted {
-			// Queued or rejected sessions hold no pages: their frames drop
-			// and their queries go unanswered until admission.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		start := dev.Free
-		if ev.at > start {
-			start = ev.at
-		}
-		if ev.kind == evFrame {
-			m.FramesArrived++
-			paging, ok := e.admitFrameAt(ev.session, sess.device, ev.at, start)
-			if !ok {
-				continue
-			}
-			b := e.simFor(sess.device, ev.session).FrameLatency(sc.TokensPerFrame, e.kv[ev.session], 1)
-			dev.Free = start + paging + b.Total
-			dev.Busy += paging + b.Total
-			e.profCharge(paging + b.Total)
-			e.kv[ev.session] += sc.TokensPerFrame
-			dev.ResidentKV += sc.TokensPerFrame
-			e.trackPeak(sess.device)
-			m.FramesServed++
-			e.devMetrics[sess.device].FramesServed++
-			e.devMetrics[sess.device].Batches++
-			e.latencies[ev.session] = append(e.latencies[ev.session], dev.Free-ev.at)
-			e.observe(EventFrameServed, ev.at, ev.session, dev.Free-ev.at)
-			e.served(ev.session, sess.device, ev.at, start-ev.at, dev.Free-ev.at, true)
-		} else {
-			e.serveQueryAt(ev.session, sess.device, ev.at, start)
-		}
-	}
-}
-
-// admitFrameAt applies per-frame admission for session s on device d: the
-// drop threshold (measured from arrival to service start), the
-// device-memory check, and — with the memory-pressure plane — reserving
-// pages for the frame's new tokens and making the session fully resident
-// (the returned page-movement time lands on the device timeline before the
-// frame's step, like any other work). Failures drop the frame with its
-// accounting. Both event loops admit frames through this one method, so the
-// scheduled and serial timelines can never drift apart on the drop/OOM/page
-// rules.
-func (e *engine) admitFrameAt(s, d int, arrival, start float64) (paging float64, ok bool) {
-	e.degradeDecide(s, d, arrival)
-	sc := e.classes[e.sessions[s].class].Stream
-	drop := func() {
-		e.metrics[s].FramesDropped++
-		e.observe(EventFrameDropped, arrival, s, latencyNone)
-	}
-	if e.cfg.DropThreshold > 0 && start-arrival > e.cfg.DropThreshold*(1/sc.FPS) {
-		drop()
-		return 0, false
-	}
-	if e.simFor(d, s).OOM(e.kv[s], 1) {
-		drop()
-		return 0, false
-	}
-	if e.plane != nil {
-		pool := e.plane.pools[d]
-		growSpill, ok := pool.Grow(s, sc.TokensPerFrame, arrival)
-		if !ok {
-			drop()
-			return 0, false
-		}
-		pageIn, pageOut := pool.Touch(s, arrival)
-		paging = growSpill + pageIn + pageOut
-		e.profPaging(d, start, growSpill+pageOut, pageIn)
-	}
-	return paging, true
-}
-
-// serveQueryAt prices one query — prefill plus the full answer, KV growing
-// token by token — for session s on device d: arrival is the query's arrival
-// time (the pool's touch stamps and the latency baseline), start its service
-// start. Both event loops charge queries through this one method, so the
-// scheduled and serial timelines can never drift apart on query arithmetic.
-// It returns the step's service time and whether the device was occupied
-// (false when the memory-pressure plane could not allocate the KV growth —
-// the query drops).
-func (e *engine) serveQueryAt(s, d int, arrival, start float64) (total float64, ok bool) {
-	e.degradeDecide(s, d, arrival)
-	sc := e.classes[e.sessions[s].class].Stream
-	m := &e.metrics[s]
-	paging := 0.0
-	if e.plane != nil {
-		pool := e.plane.pools[d]
-		growSpill, ok := pool.Grow(s, sc.QueryTokens+sc.AnswerTokens, arrival)
-		if !ok {
-			m.QueriesDropped++
-			e.observe(EventQueryDropped, arrival, s, latencyNone)
-			return 0, false
-		}
-		pageIn, pageOut := pool.Touch(s, arrival)
-		paging = growSpill + pageIn + pageOut
-		e.profPaging(d, start, growSpill+pageOut, pageIn)
-	}
-	dev := &e.devs[d]
-	sim := e.simFor(d, s)
-	q := sim.Chunk(sc.QueryTokens, e.kv[s], 1, hwsim.StageTextPhase)
-	total = q.Total
-	e.kv[s] += sc.QueryTokens
-	for i := 0; i < sc.AnswerTokens; i++ {
-		total += sim.TPOT(e.kv[s], 1).Total
-		e.kv[s]++
-	}
-	dev.Free = start + paging + total
-	dev.Busy += paging + total
-	e.profCharge(paging + total)
-	dev.ResidentKV += sc.QueryTokens + sc.AnswerTokens
-	e.trackPeak(d)
-	m.QueriesServed++
-	e.devMetrics[d].QueriesServed++
-	e.devMetrics[d].Batches++
-	e.observe(EventQueryServed, arrival, s, dev.Free-arrival)
-	e.served(s, d, arrival, start-arrival, dev.Free-arrival, false)
-	return total, true
 }
 
 func clampUtil(u float64) float64 {

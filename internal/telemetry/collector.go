@@ -24,8 +24,8 @@ type DeviceStall struct {
 
 // Collector implements serve.TelemetrySink by buffering the raw streams.
 // The engine's delivery order is deterministic but — documented on
-// serve.Event — not globally time-monotone under the scheduler plane
-// (served events surface when their batch forms, after later arrivals), so
+// serve.Event — not globally time-monotone (served events surface when
+// their step forms, after later arrivals), so
 // every accessor that needs time order stable-sorts at flush rather than
 // assuming sorted input.
 type Collector struct {
