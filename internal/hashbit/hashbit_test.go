@@ -333,26 +333,3 @@ func TestHammingAngleEstimate(t *testing.T) {
 		t.Fatalf("disagreement fraction %v, want ~%v", got, want)
 	}
 }
-
-func TestInsertIntoUpdatesMean(t *testing.T) {
-	tab := NewHCTable(4)
-	sig := make(Signature, 1)
-	tab.Insert(0, []float32{2, 4}, sig)
-	tab.InsertInto(0, 1, []float32{4, 8})
-	c := tab.Clusters[0]
-	if c.Count() != 2 || c.RepKey[0] != 3 || c.RepKey[1] != 6 {
-		t.Fatalf("InsertInto mean wrong: %+v", c)
-	}
-	if tab.ClusterOf(1) != 0 {
-		t.Fatal("token mapping missing")
-	}
-}
-
-func TestInsertIntoPanicsOnBadID(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHCTable(1).InsertInto(0, 0, []float32{1})
-}

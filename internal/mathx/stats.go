@@ -139,20 +139,29 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	c := append([]float64(nil), xs...)
 	sort.Float64s(c)
+	return PercentileSorted(c, p)
+}
+
+// PercentileSorted is Percentile for xs already in sort.Float64s order: it
+// neither copies nor sorts, so it is O(1) and leaves xs untouched.
+func PercentileSorted(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
 	if p <= 0 {
-		return c[0]
+		return xs[0]
 	}
 	if p >= 100 {
-		return c[len(c)-1]
+		return xs[len(xs)-1]
 	}
-	rank := p / 100 * float64(len(c)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return c[lo]
+		return xs[lo]
 	}
 	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 // Clamp bounds v to [lo, hi].

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +186,50 @@ func TestPercentile(t *testing.T) {
 		}
 	}
 	if Percentile(nil, 50) != 0 {
+		t.Error("empty percentile should be 0")
+	}
+}
+
+// TestPercentileSorted checks the no-copy path against Percentile of a
+// shuffled copy, bit for bit, at the clamped ends, interior ranks and
+// lengths 1 and 2 (plus random lengths with repeated values), and that it
+// leaves its input untouched.
+func TestPercentileSorted(t *testing.T) {
+	rng := NewRNG(3)
+	ps := []float64{-5, 0, 1, 50, 99, 100, 150}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + trial%2
+		if trial >= 20 {
+			n = 1 + rng.Intn(300)
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Round(rng.Norm()*100) / 10 // coarse values repeat
+			if xs[i] == 0 {
+				// sort.Float64s ties -0 with 0, so the reference's answer
+				// would depend on the shuffle; keep zeros positive.
+				xs[i] = 0
+			}
+		}
+		sort.Float64s(xs)
+		orig := append([]float64(nil), xs...)
+		shuffled := append([]float64(nil), xs...)
+		for i, j := range rng.Perm(n) {
+			shuffled[i] = xs[j]
+		}
+		for _, p := range ps {
+			got, want := PercentileSorted(xs, p), Percentile(shuffled, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d p=%v: PercentileSorted %v, Percentile %v", n, p, got, want)
+			}
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("n=%d: PercentileSorted modified its input at %d", n, i)
+			}
+		}
+	}
+	if PercentileSorted(nil, 50) != 0 {
 		t.Error("empty percentile should be 0")
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -104,7 +103,7 @@ func (o *FleetOps) KV(s int) int { return o.e.kv[s] }
 func (o *FleetOps) Backlog(d int) float64 {
 	e := o.e
 	b := e.devs[d].Free - o.at
-	for _, it := range e.ready[d] {
+	for _, it := range e.ready[d].items {
 		if w := o.at - it.at; w > b {
 			b = w
 		}
@@ -337,9 +336,9 @@ func (e *engine) observeMigration(at float64, s, dst int, cost float64) {
 // moveReady re-homes session s's queued ready items from device src to dst,
 // keeping their policy keys and arrival order, and wakes dst up.
 func (e *engine) moveReady(s, src, dst int, at float64) {
-	kept := e.ready[src][:0]
+	kept := e.ready[src].items[:0]
 	var moved []readyItem
-	for _, it := range e.ready[src] {
+	for _, it := range e.ready[src].items {
 		if it.session == s {
 			moved = append(moved, it)
 		} else {
@@ -349,10 +348,10 @@ func (e *engine) moveReady(s, src, dst int, at float64) {
 	if len(moved) == 0 {
 		return
 	}
-	e.ready[src] = kept
-	heap.Init(&e.ready[src])
-	e.ready[dst] = append(e.ready[dst], moved...)
-	heap.Init(&e.ready[dst])
+	e.ready[src].items = kept
+	e.ready[src].init()
+	e.ready[dst].items = append(e.ready[dst].items, moved...)
+	e.ready[dst].init()
 	e.wake(dst, at)
 }
 
@@ -360,8 +359,8 @@ func (e *engine) moveReady(s, src, dst int, at float64) {
 // and queries account as dropped and their pending slots resolve.
 func (e *engine) dropReady(d int, at float64) {
 	// Drain in heap order so the drop events observe deterministically.
-	for e.ready[d].Len() > 0 {
-		it := heap.Pop(&e.ready[d]).(readyItem)
+	for e.ready[d].len() > 0 {
+		it := e.ready[d].pop()
 		if it.query {
 			e.metrics[it.session].QueriesDropped++
 			e.observe(EventQueryDropped, it.at, it.session, latencyNone)

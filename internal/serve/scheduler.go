@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"strings"
 
 	"vrex/internal/hwsim"
@@ -136,30 +135,18 @@ type readyItem struct {
 	query   bool
 }
 
-// readyHeap orders by (policy key, arrival time, schedule sequence): policy
-// first, arrival order within a key — seq alone is not arrival order (it
-// numbers per-session event blocks) and only breaks exact-time ties, exactly
-// as the global event heap does.
-type readyHeap []readyItem
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+// before orders a ready heap by (policy key, arrival time, schedule
+// sequence): policy first, arrival order within a key — seq alone is not
+// arrival order (it numbers per-session event blocks) and only breaks
+// exact-time ties, exactly as the event heap does.
+func (a readyItem) before(b readyItem) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.seq < b.seq
 }
 
 // batchMember is a frame admitted into the step under formation, with the
@@ -169,20 +156,18 @@ type batchMember struct {
 	paging float64
 }
 
-// initScheduler resolves the scheduler plane for a run over events: a nil
-// Policy is fifo at batch cap 1, and DefaultBatchMax fills an unset cap only
-// when a policy is set.
-func (e *engine) initScheduler(events *eventHeap) {
+// initScheduler resolves the scheduler plane for a run: a nil Policy is fifo
+// at batch cap 1, and DefaultBatchMax fills an unset cap only when a policy
+// is set.
+func (e *engine) initScheduler() {
 	e.sched, e.batchMax = e.cfg.Scheduler.Policy, e.cfg.Scheduler.BatchMax
 	if e.sched == nil {
 		e.sched, e.batchMax = fifoSched{}, 1
 	} else if e.batchMax <= 0 {
 		e.batchMax = DefaultBatchMax
 	}
-	e.events = events
-	e.ready = make([]readyHeap, e.nDev)
+	e.ready = make([]minHeap[readyItem], e.nDev)
 	e.stepScheduled = make([]bool, e.nDev)
-	e.stepSeq = events.Len()
 	e.pending = make([]int, len(e.sessions))
 	e.ended = make([]bool, len(e.sessions))
 	e.reqs = make([]hwsim.StepReq, 0, e.batchMax)
@@ -191,66 +176,88 @@ func (e *engine) initScheduler(events *eventHeap) {
 // run is the event loop: arrivals enqueue onto their device's ready heap
 // and the device forms policy-ordered steps whenever it is free.
 func (e *engine) run() {
-	for e.events.Len() > 0 {
-		ev := heap.Pop(e.events).(event)
-		if ev.kind == evStep {
-			d := ev.session
-			e.stepScheduled[d] = false
-			e.formBatch(d, ev.at)
-			continue
-		}
-		if ev.kind == evControl {
-			e.handleControl(ev.at)
-			continue
-		}
-		sess := &e.sessions[ev.session]
-		switch ev.kind {
-		case evStart:
-			e.startSession(ev)
-			continue
-		case evEnd:
-			d := sess.device
-			e.devs[d].ActiveSessions--
-			e.devs[d].ClassSessions[sess.class]--
-			e.alive[ev.session] = false
-			if e.pending[ev.session] > 0 {
-				// Queued work outlives the session: hold its KV (and pool
-				// pages) until the last pending item resolves.
-				e.ended[ev.session] = true
-			} else {
-				e.releaseSession(ev.session, ev.at)
-			}
-			e.observe(EventSessionEnd, ev.at, ev.session, latencyNone)
-			continue
-		}
-		m := &e.metrics[ev.session]
-		if ev.kind == evFrame {
-			m.FramesArrived++
-		}
-		// A session on a down device (it could not be moved off, or every
-		// device is down) and a queued or rejected session (it holds no
-		// pages) drop their frames and leave their queries unanswered.
-		if e.devs[sess.device].Down || (e.plane != nil && e.plane.state[ev.session] != sessAdmitted) {
-			if ev.kind == evFrame {
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		d := sess.device
-		it := readyItem{at: ev.at, seq: ev.seq, session: ev.session, query: ev.kind == evQuery}
-		it.key = e.sched.Key(WorkItem{
-			Session: ev.session, Class: sess.class,
-			Priority: e.classes[sess.class].Priority, Query: it.query,
-			Arrival: ev.at, Deadline: ev.at + e.slo[sess.class],
-		})
-		heap.Push(&e.ready[d], it)
-		e.pending[ev.session]++
-		e.wake(d, ev.at)
+	for e.events.len() > 0 {
+		e.handle(e.pop())
 	}
+}
+
+// pop removes the earliest pending event and puts its source's next event
+// on the heap: a session's next arrival after any arrival but its end, the
+// next controller tick after a tick.
+//
+//vrex:noalloc
+func (e *engine) pop() event {
+	ev := e.events.pop()
+	switch ev.kind {
+	case evStart, evFrame, evQuery:
+		e.events.push(e.arr[ev.session].next(ev.session))
+	case evControl:
+		if i := ev.seq - e.tickSeq + 1; i < len(e.ticks) {
+			e.events.push(event{at: e.ticks[i], session: -1, kind: evControl, seq: ev.seq + 1})
+		}
+	}
+	return ev
+}
+
+// handle processes one popped event.
+func (e *engine) handle(ev event) {
+	if ev.kind == evStep {
+		d := ev.session
+		e.stepScheduled[d] = false
+		e.formBatch(d, ev.at)
+		return
+	}
+	if ev.kind == evControl {
+		e.handleControl(ev.at)
+		return
+	}
+	sess := &e.sessions[ev.session]
+	switch ev.kind {
+	case evStart:
+		e.startSession(ev)
+		return
+	case evEnd:
+		d := sess.device
+		e.devs[d].ActiveSessions--
+		e.devs[d].ClassSessions[sess.class]--
+		e.alive[ev.session] = false
+		if e.pending[ev.session] > 0 {
+			// Queued work outlives the session: hold its KV (and pool
+			// pages) until the last pending item resolves.
+			e.ended[ev.session] = true
+		} else {
+			e.releaseSession(ev.session, ev.at)
+		}
+		e.observe(EventSessionEnd, ev.at, ev.session, latencyNone)
+		return
+	}
+	m := &e.metrics[ev.session]
+	if ev.kind == evFrame {
+		m.FramesArrived++
+	}
+	// A session on a down device (it could not be moved off, or every
+	// device is down) and a queued or rejected session (it holds no
+	// pages) drop their frames and leave their queries unanswered.
+	if e.devs[sess.device].Down || (e.plane != nil && e.plane.state[ev.session] != sessAdmitted) {
+		if ev.kind == evFrame {
+			m.FramesDropped++
+			e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
+		} else {
+			m.QueriesDropped++
+			e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
+		}
+		return
+	}
+	d := sess.device
+	it := readyItem{at: ev.at, seq: ev.seq, session: ev.session, query: ev.kind == evQuery}
+	it.key = e.sched.Key(WorkItem{
+		Session: ev.session, Class: sess.class,
+		Priority: e.classes[sess.class].Priority, Query: it.query,
+		Arrival: ev.at, Deadline: ev.at + e.slo[sess.class],
+	})
+	e.ready[d].push(it)
+	e.pending[ev.session]++
+	e.wake(d, ev.at)
 }
 
 // wake schedules device d's next wake-up at the later of at and the end of
@@ -268,7 +275,7 @@ func (e *engine) wake(d int, at float64) {
 // scheduleStep pushes device d's next wake-up at time t; the caller
 // guarantees no wake-up is pending.
 func (e *engine) scheduleStep(d int, t float64) {
-	heap.Push(e.events, event{at: t, session: d, kind: evStep, seq: e.stepSeq})
+	e.events.push(event{at: t, session: d, kind: evStep, seq: e.stepSeq})
 	e.stepSeq++
 	e.stepScheduled[d] = true
 }
@@ -288,7 +295,7 @@ func (e *engine) resolve(s int, at float64) {
 // charge it and schedule the next wake-up at the step's completion.
 func (e *engine) formBatch(d int, at float64) {
 	q := &e.ready[d]
-	if q.Len() == 0 {
+	if q.len() == 0 {
 		return
 	}
 	if e.devs[d].Down {
@@ -302,8 +309,8 @@ func (e *engine) formBatch(d int, at float64) {
 		e.scheduleStep(d, e.devs[d].Free)
 		return
 	}
-	for q.Len() > 0 {
-		head := heap.Pop(q).(readyItem)
+	for q.len() > 0 {
+		head := q.pop()
 		if head.query {
 			if e.serveQuery(d, head, at) {
 				break
@@ -317,8 +324,8 @@ func (e *engine) formBatch(d int, at float64) {
 		members := append(e.members[:0], batchMember{it: head, paging: paging})
 		// Extend the step with ready frames in strict policy order: a query
 		// at the front ends the batch rather than being overtaken.
-		for len(members) < e.batchMax && q.Len() > 0 && !(*q)[0].query {
-			it := heap.Pop(q).(readyItem)
+		for len(members) < e.batchMax && q.len() > 0 && !q.items[0].query {
+			it := q.pop()
 			p, ok := e.admitFrame(d, it, at)
 			if !ok {
 				continue
@@ -329,7 +336,7 @@ func (e *engine) formBatch(d int, at float64) {
 		e.members = members[:0]
 		break
 	}
-	if q.Len() > 0 {
+	if q.len() > 0 {
 		e.scheduleStep(d, e.devs[d].Free)
 	}
 }

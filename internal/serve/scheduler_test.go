@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"math"
 	"reflect"
 	"runtime"
@@ -50,12 +49,12 @@ func TestParseScheduler(t *testing.T) {
 // timeline formulated without ready queues or step events. Every arrival is
 // charged to its device in global arrival order, one hardware step per frame
 // or query, so a nil-policy Run (fifo at batch cap 1) must reproduce it. It
-// shares only the engine's build and reduce steps, per-frame admission and
-// query pricing with the loop under test.
+// shares only the engine's build, event pop and reduce steps, per-frame
+// admission and query pricing with the loop under test.
 func runSerial(cfg Config) Result {
 	e := newEngine(cfg)
-	for e.events.Len() > 0 {
-		ev := heap.Pop(e.events).(event)
+	for e.events.len() > 0 {
+		ev := e.pop()
 		if ev.kind == evControl {
 			e.handleControl(ev.at)
 			continue

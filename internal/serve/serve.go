@@ -16,7 +16,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -179,12 +178,10 @@ type Config struct {
 	// from it, so session s's arrival process never depends on how many other
 	// sessions exist or on scheduling order.
 	Seed uint64
-	// Workers advances independent sessions concurrently between the
-	// scheduler barriers (schedule construction before the device loop,
-	// per-session metric reduction after it): 0 uses GOMAXPROCS, 1 is
-	// sequential. The device loop itself is the barrier — devices serve
-	// arrivals in global order — and results are identical for any worker
-	// count.
+	// Workers reduces independent sessions' metrics concurrently once the
+	// event loop has finished: 0 uses GOMAXPROCS, 1 is sequential. The event
+	// loop itself is single-threaded — devices serve arrivals in global
+	// order — and results are identical for any worker count.
 	Workers int
 }
 
@@ -359,23 +356,74 @@ type event struct {
 	seq     int
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders the event heap by time, then seq.
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// arrivals generates one session's arrival events on demand, in (at, seq)
+// order: its start, then its frames and queries merged by time (a frame
+// first at equal times, as its seq is lower), then its end. Frame and query
+// times accumulate exactly as an up-front schedule would (t += interval),
+// and the counts fixed at build time give every event the seq of a schedule
+// that numbers each session's block — start, frames, queries, end — in
+// session order.
+type arrivals struct {
+	frameAt, queryAt float64
+	interval, every  float64
+	end              float64
+	// base is the start event's seq; frames and queries are the session's
+	// totals, nf and nq how many have been generated.
+	base, frames, queries int
+	nf, nq                int
+}
+
+// newArrivals counts session sess's frames and queries with the same float
+// accumulation that generates them, so the count matches the generator to
+// the last event; base is the seq of the session's start event.
+func newArrivals(sess session, sc StreamConfig, base int) arrivals {
+	rng := mathx.NewRNG(sess.seed)
+	a := arrivals{interval: 1 / sc.FPS, every: sc.QueryEvery, end: sess.end, base: base}
+	// Phase-shift sessions so arrivals interleave.
+	phase := rng.Float64() * a.interval
+	a.frameAt = sess.start + phase
+	for t := a.frameAt; t < sess.end; t += a.interval {
+		a.frames++
+	}
+	if sc.QueryEvery > 0 {
+		a.queryAt = sess.start + sc.QueryEvery*(0.5+rng.Float64())
+		for t := a.queryAt; t < sess.end; t += sc.QueryEvery {
+			a.queries++
+		}
+	}
+	return a
+}
+
+// blockLen is the number of seqs the session's events take.
+func (a *arrivals) blockLen() int { return a.frames + a.queries + 2 }
+
+// next returns session s's arrival after the one generated last (the start
+// event is the first, built by newEngine); it must not be called after the
+// end event.
+//
+//vrex:noalloc
+func (a *arrivals) next(s int) event {
+	switch {
+	case a.nf < a.frames && (a.nq == a.queries || a.frameAt <= a.queryAt):
+		ev := event{at: a.frameAt, session: s, kind: evFrame, seq: a.base + 1 + a.nf}
+		a.nf++
+		a.frameAt += a.interval
+		return ev
+	case a.nq < a.queries:
+		ev := event{at: a.queryAt, session: s, kind: evQuery, seq: a.base + 1 + a.frames + a.nq}
+		a.nq++
+		a.queryAt += a.every
+		return ev
+	}
+	return event{at: a.end, session: s, kind: evEnd, seq: a.base + a.blockLen() - 1}
 }
 
 // Derived-seed domains: each randomness consumer hashes its own salt into
@@ -582,8 +630,9 @@ func Run(cfg Config) Result {
 	return e.result()
 }
 
-// newEngine validates cfg and builds one run's state: the session plan, the
-// merged arrival and controller-tick schedule, and every enabled plane.
+// newEngine validates cfg and builds one run's state: the session plan, each
+// session's arrival generator with its first event on the heap, the first
+// controller tick, and every enabled plane.
 func newEngine(cfg Config) *engine {
 	classes := cfg.classes()
 	validate(cfg, classes)
@@ -611,49 +660,30 @@ func newEngine(cfg Config) *engine {
 	}
 	bal.Reset(nDev)
 
-	// Build the arrival schedule: sessions are independent, so each one's
-	// arrival process is generated concurrently from its own derived seed
-	// (parallel.SeedFor keeps session s's jitter a pure function of cfg.Seed
-	// and s). The ordered fan-in and the deterministic seq renumbering below
-	// make the merged schedule identical for any worker count.
-	perSession := parallel.Map(cfg.Workers, len(sessions), func(s int) []event {
-		sess := sessions[s]
-		sc := classes[sess.class].Stream
-		rng := mathx.NewRNG(sess.seed)
-		interval := 1 / sc.FPS
-		evs := []event{{at: sess.start, session: s, kind: evStart}}
-		// Phase-shift sessions so arrivals interleave.
-		phase := rng.Float64() * interval
-		for t := sess.start + phase; t < sess.end; t += interval {
-			evs = append(evs, event{at: t, session: s, kind: evFrame})
-		}
-		if sc.QueryEvery > 0 {
-			for t := sess.start + sc.QueryEvery*(0.5+rng.Float64()); t < sess.end; t += sc.QueryEvery {
-				evs = append(evs, event{at: t, session: s, kind: evQuery})
-			}
-		}
-		evs = append(evs, event{at: sess.end, session: s, kind: evEnd})
-		return evs
-	})
-	events := &eventHeap{}
+	// Each session's event counts fix its block of seqs (start, frames,
+	// queries, end; blocks in session order) and controller ticks follow
+	// every block. The events themselves are generated as their predecessor
+	// pops (engine.pop), so the heap holds one pending arrival per session,
+	// one tick and at most one wake-up per device.
+	arr := make([]arrivals, len(sessions))
+	events := minHeap[event]{items: make([]event, 0, len(sessions)+nDev+1)}
 	seq := 0
-	for _, evs := range perSession {
-		for _, ev := range evs {
-			ev.seq = seq
-			seq++
-			*events = append(*events, ev)
-		}
+	for s := range sessions {
+		arr[s] = newArrivals(sessions[s], classes[sessions[s].class].Stream, seq)
+		events.items = append(events.items, event{at: sessions[s].start, session: s, kind: evStart, seq: seq})
+		seq += arr[s].blockLen()
 	}
 	// Controller ticks seq above every arrival (and below the scheduler's
-	// step range, which starts at the heap length): at equal timestamps a
-	// tick sees the arrivals that just landed and runs before batches form.
+	// step range): at equal timestamps a tick sees the arrivals that just
+	// landed and runs before batches form.
+	var ticks []float64
 	if cfg.Control.enabled() {
-		for _, t := range cfg.Control.tickTimes(cfg.Duration) {
-			*events = append(*events, event{at: t, session: -1, kind: evControl, seq: seq})
-			seq++
-		}
+		ticks = cfg.Control.tickTimes(cfg.Duration)
 	}
-	heap.Init(events)
+	if len(ticks) > 0 {
+		events.items = append(events.items, event{at: ticks[0], session: -1, kind: evControl, seq: seq})
+	}
+	events.init()
 
 	e := &engine{
 		cfg: cfg, classes: classes, sims: sims, sessions: sessions,
@@ -669,6 +699,11 @@ func newEngine(cfg Config) *engine {
 		slo:        make([]float64, len(classes)),
 		alive:      make([]bool, len(sessions)),
 		resident:   make([]bool, len(sessions)),
+		events:     events,
+		arr:        arr,
+		ticks:      ticks,
+		tickSeq:    seq,
+		stepSeq:    seq + len(ticks),
 	}
 	for s := range e.kv {
 		e.kv[s] = classes[sessions[s].class].Stream.StartKV
@@ -707,7 +742,7 @@ func newEngine(cfg Config) *engine {
 		}
 	}
 	e.deg = newDegradePlane(cfg, len(sessions), nDev)
-	e.initScheduler(events)
+	e.initScheduler()
 	return e
 }
 
@@ -752,11 +787,9 @@ func (e *engine) result() Result {
 			m.AchievedFPS = float64(m.FramesServed) / window
 		}
 		m.FinalKV = kv[s]
-		if len(latencies[s]) > 0 {
-			sort.Float64s(latencies[s])
-			m.P50 = mathx.Percentile(latencies[s], 50)
-			m.P99 = mathx.Percentile(latencies[s], 99)
-		}
+		sort.Float64s(latencies[s])
+		m.P50 = mathx.PercentileSorted(latencies[s], 50)
+		m.P99 = mathx.PercentileSorted(latencies[s], 99)
 		if e.deg != nil && e.deg.servedN[s] > 0 {
 			n := float64(e.deg.servedN[s])
 			m.MeanBudget = e.deg.budgetSum[s] / n
@@ -773,10 +806,10 @@ func (e *engine) result() Result {
 	return res
 }
 
-// engine bundles one Run's mutable state: the arrival, admission and
-// accounting machinery here and the scheduler plane's ready queues and
-// event loop (scheduler.go). The loop is single-threaded; Workers
-// parallelism stays confined to schedule construction and metric reduction.
+// engine bundles one Run's mutable state: the lazy arrival generators,
+// admission and accounting machinery here and the scheduler plane's ready
+// queues and event loop (scheduler.go). The loop is single-threaded; Workers
+// parallelism stays confined to the per-session metric reduction.
 type engine struct {
 	cfg     Config
 	classes []StreamClass
@@ -819,15 +852,21 @@ type engine struct {
 	upScratch []DeviceState
 	mig       MigrationMetrics
 
+	// Event-heap state: the heap, each session's arrival generator, and the
+	// sorted controller tick times with the seq of the first (tick i pushes
+	// tick i+1 when it pops).
+	events  minHeap[event]
+	arr     []arrivals
+	ticks   []float64
+	tickSeq int
+
 	// Scheduler-plane state: the policy and batch cap in force (fifo at cap 1
-	// for a nil Policy), the run's event heap, per-device ready heaps, at
-	// most one pending wake-up per device, and the per-session pending-work
-	// counts that defer a departed session's KV release until its queued
-	// work drains.
+	// for a nil Policy), per-device ready heaps, at most one pending wake-up
+	// per device, and the per-session pending-work counts that defer a
+	// departed session's KV release until its queued work drains.
 	sched    Scheduler
 	batchMax int
-	events   *eventHeap
-	ready    []readyHeap
+	ready    []minHeap[readyItem]
 	// stepScheduled marks devices with a wake-up already on the event heap.
 	stepScheduled []bool
 	// stepSeq numbers wake-ups above every arrival's seq, so at equal
@@ -1019,7 +1058,8 @@ func clampUtil(u float64) float64 {
 
 // reduceClasses pools per-session metrics into per-class and aggregate
 // summaries. Latency and queue-wait percentiles are computed over the pooled
-// (re-sorted) samples of each group, so they reflect frames, not sessions.
+// samples of each group, so they reflect frames, not sessions: each class
+// pool is sorted once and the aggregate pool merges the sorted class pools.
 func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMetrics, latencies, waits [][]float64, duration float64) ([]ClassMetrics, ClassMetrics) {
 	perClass := make([]ClassMetrics, len(classes))
 	pooled := make([][]float64, len(classes))
@@ -1028,7 +1068,6 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 		perClass[c].Class = classes[c].Name
 	}
 	agg := ClassMetrics{Class: "all"}
-	var aggPool, aggWait []float64
 	var aggFPS float64
 	fps := make([]float64, len(classes))
 	// Served-work-weighted budget/proxy accumulators per class plus the
@@ -1063,8 +1102,6 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 		pooled[c] = append(pooled[c], latencies[s]...)
 		pooledWait[c] = append(pooledWait[c], waits[s]...)
 		aggFPS += m.AchievedFPS
-		aggPool = append(aggPool, latencies[s]...)
-		aggWait = append(aggWait, waits[s]...)
 	}
 	finish := func(cm *ClassMetrics, pool, wait []float64, fpsSum float64) {
 		if cm.Sessions > 0 {
@@ -1077,18 +1114,14 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 		if duration > 0 {
 			cm.Goodput = float64(cm.FramesServed-cm.DeadlineMisses) / duration
 		}
-		if len(pool) > 0 {
-			sort.Float64s(pool)
-			cm.P50 = mathx.Percentile(pool, 50)
-			cm.P99 = mathx.Percentile(pool, 99)
-		}
-		if len(wait) > 0 {
-			sort.Float64s(wait)
-			cm.QueueP50 = mathx.Percentile(wait, 50)
-			cm.QueueP99 = mathx.Percentile(wait, 99)
-		}
+		cm.P50 = mathx.PercentileSorted(pool, 50)
+		cm.P99 = mathx.PercentileSorted(pool, 99)
+		cm.QueueP50 = mathx.PercentileSorted(wait, 50)
+		cm.QueueP99 = mathx.PercentileSorted(wait, 99)
 	}
 	for c := range perClass {
+		sort.Float64s(pooled[c])
+		sort.Float64s(pooledWait[c])
 		finish(&perClass[c], pooled[c], pooledWait[c], fps[c])
 		if budgetW[c] > 0 {
 			perClass[c].MeanBudget = budgetSum[c] / budgetW[c]
@@ -1105,13 +1138,47 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 		agg.Degradations += perClass[c].Degradations
 		agg.Restorations += perClass[c].Restorations
 	}
-	finish(&agg, aggPool, aggWait, aggFPS)
+	finish(&agg, mergeSorted(pooled), mergeSorted(pooledWait), aggFPS)
 	if w := budgetW[len(classes)]; w > 0 {
 		agg.MeanBudget = budgetSum[len(classes)] / w
 		agg.AccuracyProxy = proxySum[len(classes)] / w
 	}
 	return perClass, agg
 }
+
+// mergeSorted merges pools, each in sort.Float64s order, into the slice
+// sort.Float64s would make of their concatenation, in one linear pass. A
+// lone non-empty pool is returned as is, not copied.
+func mergeSorted(pools [][]float64) []float64 {
+	n, nonEmpty := 0, 0
+	var only []float64
+	for _, p := range pools {
+		if len(p) > 0 {
+			n += len(p)
+			nonEmpty++
+			only = p
+		}
+	}
+	if nonEmpty <= 1 {
+		return only
+	}
+	out := make([]float64, 0, n)
+	heads := make([]int, len(pools))
+	for len(out) < n {
+		best := -1
+		for c, p := range pools {
+			if heads[c] < len(p) && (best < 0 || floatLess(p[heads[c]], pools[best][heads[best]])) {
+				best = c
+			}
+		}
+		out = append(out, pools[best][heads[best]])
+		heads[best]++
+	}
+	return out
+}
+
+// floatLess is sort.Float64s's order: NaNs first, then ascending.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
 
 // MaxRealTimeStreams bisects the largest initial stream count (up to limit)
 // the system serves in real time. The bisection relies on the real-time
