@@ -129,7 +129,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		sim := hwsim.NewSim(hwsim.VRex8(), hwsim.Llama3_8B(), hwsim.ReSVModel())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = sim.Chunk(10, 40000, 1, 10)
+			_ = sim.Chunk(10, 40000, 1, hwsim.StageFramePhase)
 		}
 	})
 	b.Run("step/profiled", func(b *testing.B) {
@@ -137,7 +137,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		sim.Phases = &hwsim.PhaseAccount{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = sim.Chunk(10, 40000, 1, 10)
+			_ = sim.Chunk(10, 40000, 1, hwsim.StageFramePhase)
 		}
 	})
 	b.Run("run/nil", func(b *testing.B) {

@@ -289,26 +289,6 @@ func TestClustererAssignmentsConsistent(t *testing.T) {
 			t.Fatal("AddFrame return values disagree with table state")
 		}
 	}
-	if c.CompressionRatio() <= 0 {
-		t.Fatal("compression ratio should be positive")
-	}
-}
-
-func TestMemoryOverheadGrowsWithClusters(t *testing.T) {
-	tab := NewHCTable(0) // every token its own cluster
-	s := make(Signature, 1)
-	before := tab.MemoryOverheadBytes(64, 32)
-	for i := 0; i < 10; i++ {
-		sig := s.Clone()
-		for b := 0; b <= i; b++ {
-			sig.SetBit(b)
-		}
-		tab.Insert(i, make([]float32, 64), sig)
-	}
-	after := tab.MemoryOverheadBytes(64, 32)
-	if after <= before {
-		t.Fatal("overhead should grow with clusters")
-	}
 }
 
 // TestHammingAngleEstimate checks the LSH property quantitatively: the

@@ -266,14 +266,6 @@ func (t *HCTable) TokensOf(clusterIDs []int) []int {
 	return out
 }
 
-// MemoryOverheadBytes estimates the HC table's storage cost: per cluster one
-// representative key (bf16), one signature, and per token a 4-byte index.
-// The paper reports this at 1.67% of the full KV cache.
-func (t *HCTable) MemoryOverheadBytes(keyDim, sigBits int) int {
-	perCluster := keyDim*2 + SignatureWords(sigBits)*8
-	return len(t.Clusters)*perCluster + t.nTokens*4
-}
-
 // insertNewCluster founds a cluster unconditionally and returns its ID.
 func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) int {
 	c := &Cluster{

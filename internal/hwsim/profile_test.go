@@ -65,18 +65,6 @@ func TestPhaseAccountStepPaths(t *testing.T) {
 	}
 }
 
-// TestPhaseAccountSharedByScaled pins that Scaled's shallow copy carries the
-// Phases pointer, so degraded-budget pricing folds into the same account.
-func TestPhaseAccountSharedByScaled(t *testing.T) {
-	var acct PhaseAccount
-	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
-	sim.Phases = &acct
-	sim.Scaled(0.5).FrameLatency(10, 40000, 1)
-	if acct.Steps != 1 {
-		t.Fatalf("scaled sim did not share the account: Steps = %d, want 1", acct.Steps)
-	}
-}
-
 // TestPhaseAccountZeroAlloc guards the hot path: pricing allocates nothing
 // whether the account is nil or attached.
 func TestPhaseAccountZeroAlloc(t *testing.T) {

@@ -120,7 +120,7 @@ func TestStepMixedStages(t *testing.T) {
 func TestStepCombinedOOM(t *testing.T) {
 	sim := NewSim(AGXOrin(), Llama3_8B(), DenseModel())
 	solo := StepReq{NewTokens: 10, KVLen: 60000, Stage: StageFramePhase}
-	if sim.OOM(solo.KVLen, 1) {
+	if sim.OOM(solo) {
 		t.Fatal("solo request should fit")
 	}
 	b := sim.Step([]StepReq{solo, solo})
@@ -129,19 +129,19 @@ func TestStepCombinedOOM(t *testing.T) {
 	}
 }
 
-// TestScaledPricing pins the degradation hook: a scaled simulator fetches
-// fewer tokens so chunks get strictly cheaper, scale 1 is the identity (same
-// pointer, byte-identical costs), and the receiver is never mutated.
+// TestScaledPricing: a request priced at a reduced retrieval ratio fetches
+// proportionally fewer tokens, so its step gets strictly cheaper as the scale
+// shrinks, and pricing it leaves the simulator unchanged.
 func TestScaledPricing(t *testing.T) {
 	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
 	before := *sim
-	full := sim.Chunk(10, 40000, 1, StageFramePhase)
-	if sim.Scaled(1) != sim {
-		t.Fatal("Scaled(1) must return the receiver")
-	}
+	req := StepReq{NewTokens: 10, KVLen: 40000, Stage: StageFramePhase}
+	full := sim.Step([]StepReq{req})
 	prev := full.Total
 	for _, scale := range []float64{0.7, 0.49, 0.25} {
-		b := sim.Scaled(scale).Chunk(10, 40000, 1, StageFramePhase)
+		r := req
+		r.RatioScale = scale
+		b := sim.Step([]StepReq{r})
 		if b.Total >= prev {
 			t.Fatalf("scale %g: total %v not below %v", scale, b.Total, prev)
 		}
@@ -151,34 +151,34 @@ func TestScaledPricing(t *testing.T) {
 		prev = b.Total
 	}
 	if *sim != before {
-		t.Fatal("Scaled mutated the receiver")
+		t.Fatal("scaled pricing mutated the receiver")
 	}
 }
 
-// TestStepRatioScale pins the zero-value convention and the per-request
-// scaling path: RatioScale 0 prices identically to an unscaled request (both
-// solo and batched), a scaled solo request matches the Scaled Chunk exactly,
-// and scaling one member of a batch makes the step cheaper.
+// TestStepRatioScale pins the zero-value convention: RatioScale 0 prices
+// identically to an unscaled request (both solo and batched) and RatioScale 1
+// is the identity; scaling one member of a batch makes the step cheaper.
 func TestStepRatioScale(t *testing.T) {
 	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
 	req := StepReq{NewTokens: 10, KVLen: 40000, Stage: StageFramePhase}
-	if got, want := sim.Step([]StepReq{req}), sim.Chunk(10, 40000, 1, StageFramePhase); got != want {
-		t.Fatalf("zero RatioScale solo: %+v != %+v", got, want)
-	}
-	scaled := req
-	scaled.RatioScale = 0.5
-	if got, want := sim.Step([]StepReq{scaled}), sim.Scaled(0.5).Chunk(10, 40000, 1, StageFramePhase); got != want {
-		t.Fatalf("scaled solo: %+v != %+v", got, want)
-	}
-	full := sim.Step([]StepReq{req, req})
-	mixed := sim.Step([]StepReq{req, scaled})
-	if mixed.Total >= full.Total {
-		t.Fatalf("degraded member should cheapen the step: %v vs %v", mixed.Total, full.Total)
+	full := sim.Step([]StepReq{req})
+	if want := sim.Chunk(10, 40000, 1, StageFramePhase); full != want {
+		t.Fatalf("zero RatioScale solo: %+v != %+v", full, want)
 	}
 	explicit := req
 	explicit.RatioScale = 1
-	if got := sim.Step([]StepReq{req, explicit}); got != full {
-		t.Fatalf("RatioScale 1 differs from zero value: %+v vs %+v", got, full)
+	if got := sim.Step([]StepReq{explicit}); got != full {
+		t.Fatalf("RatioScale 1 solo differs from zero value: %+v vs %+v", got, full)
+	}
+	scaled := req
+	scaled.RatioScale = 0.5
+	pair := sim.Step([]StepReq{req, req})
+	mixed := sim.Step([]StepReq{req, scaled})
+	if mixed.Total >= pair.Total {
+		t.Fatalf("degraded member should cheapen the step: %v vs %v", mixed.Total, pair.Total)
+	}
+	if got := sim.Step([]StepReq{req, explicit}); got != pair {
+		t.Fatalf("RatioScale 1 differs from zero value: %+v vs %+v", got, pair)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestStepRatioScale(t *testing.T) {
 func TestOOMMatchesChunk(t *testing.T) {
 	sim := NewSim(AGXOrin(), Llama3_8B(), DenseModel())
 	for _, kv := range []int{1000, 60000, 150000} {
-		if got, want := sim.OOM(kv, 1), sim.Chunk(10, kv, 1, StageFramePhase).OOM; got != want {
+		if got, want := sim.OOM(StepReq{KVLen: kv}), sim.Chunk(10, kv, 1, StageFramePhase).OOM; got != want {
 			t.Fatalf("kv=%d OOM %v, Chunk reports %v", kv, got, want)
 		}
 	}

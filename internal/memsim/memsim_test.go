@@ -165,7 +165,7 @@ func TestNICSetupDominatesWAN(t *testing.T) {
 }
 
 func TestNICMessageOverheadPenalty(t *testing.T) {
-	l := LAN25G()
+	l := LAN100G()
 	one := l.TransferTime(1e7, 1)
 	many := l.TransferTime(1e7, 1000)
 	if many <= one {
@@ -177,7 +177,7 @@ func TestNICMessageOverheadPenalty(t *testing.T) {
 }
 
 func TestNICZeroAndDegenerate(t *testing.T) {
-	l := LAN25G()
+	l := LAN100G()
 	if got := l.TransferTime(0, 5); got != 0 {
 		t.Fatalf("zero bytes must cost zero, got %g", got)
 	}
@@ -199,11 +199,11 @@ func TestNICZeroAndDegenerate(t *testing.T) {
 }
 
 func TestNICPresetsOrdering(t *testing.T) {
-	// 100G beats 25G beats WAN on bandwidth; WAN has the largest setup.
-	if !(LAN100G().Bandwidth > LAN25G().Bandwidth && LAN25G().Bandwidth > WAN().Bandwidth) {
+	// The LAN beats the WAN on bandwidth; the WAN has the larger setup.
+	if !(LAN100G().Bandwidth > WAN().Bandwidth) {
 		t.Fatal("preset bandwidth ordering violated")
 	}
-	if !(WAN().Setup > LAN25G().Setup && WAN().Setup > LAN100G().Setup) {
+	if !(WAN().Setup > LAN100G().Setup) {
 		t.Fatal("WAN must have the largest setup latency")
 	}
 }

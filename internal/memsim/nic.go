@@ -20,12 +20,6 @@ type NICLink struct {
 	ActivePower float64
 }
 
-// LAN25G returns a 25 GbE datacenter NIC: ~3.1 GB/s payload, ~20 us RTT
-// setup inside a rack/pod.
-func LAN25G() NICLink {
-	return NICLink{Name: "lan25", Bandwidth: 3.1e9, Setup: 20e-6, MsgOverhead: 2e-6, ActivePower: 12}
-}
-
 // LAN100G returns a 100 GbE / RDMA-class fabric: ~12 GB/s payload, ~10 us
 // setup.
 func LAN100G() NICLink {

@@ -5,7 +5,6 @@ import (
 
 	"vrex/internal/accuracy"
 	"vrex/internal/degrade"
-	"vrex/internal/hwsim"
 )
 
 // DegradeConfig configures the accuracy-aware graceful-degradation plane:
@@ -15,11 +14,11 @@ import (
 // that session's retrieval budget in bounded quantized steps (each level
 // multiplies the budget by Step, never below Floor) and restores it with
 // hysteresis when pressure clears. Every step is charged on both planes:
-// the hardware step gets cheaper (the session's chunks are priced through
-// hwsim.Sim.Scaled / StepReq.RatioScale, fetching proportionally fewer
-// tokens), and the Proxy curve charges the functional-retrieval quality
-// model, so Result gains per-class accuracy-proxy metrics next to SLO
-// attainment.
+// the hardware step gets cheaper (the session's frame steps, query steps and
+// OOM admission checks are priced with hwsim.StepReq.RatioScale set to its
+// budget scale, fetching proportionally fewer tokens), and the Proxy curve
+// charges the functional-retrieval quality model, so Result gains per-class
+// accuracy-proxy metrics next to SLO attainment.
 //
 // The zero value (nil Policy) disables the plane entirely: Run reduces
 // byte-identically to the undegraded engine and every new metric stays zero.
@@ -43,13 +42,12 @@ type DegradeConfig struct {
 func (c DegradeConfig) enabled() bool { return c.Policy != nil }
 
 // degradePlane is the per-run state of the degradation plane: per-session
-// quantized levels, deadline-streak signals, proxy accounting, and lazily
-// built scaled simulators per (device, level). A nil *degradePlane disables
+// quantized levels, deadline-streak signals and proxy accounting. Pricing
+// reads a session's budget through budgetOf. A nil *degradePlane disables
 // the plane.
 type degradePlane struct {
-	pol      degrade.Policy
-	proxy    func(float64) float64
-	maxLevel int
+	pol   degrade.Policy
+	proxy func(float64) float64
 	// level is each session's quantized degradation level (0 = full budget).
 	level []int
 	// lastLat is each session's last frame completion latency (NaN until the
@@ -61,14 +59,11 @@ type degradePlane struct {
 	// scale and proxy retention for the MeanBudget / AccuracyProxy metrics.
 	budgetSum, retainSum []float64
 	servedN              []int
-	// scaled caches Sim.Scaled results per device and level so pricing never
-	// allocates on the hot path after warm-up.
-	scaled [][]*hwsim.Sim
 }
 
 // newDegradePlane builds the plane for a run, or returns nil when disabled;
 // the config has already passed validate.
-func newDegradePlane(cfg Config, nSessions, nDev int) *degradePlane {
+func newDegradePlane(cfg Config, nSessions int) *degradePlane {
 	if !cfg.Degrade.enabled() {
 		return nil
 	}
@@ -94,9 +89,7 @@ func newDegradePlane(cfg Config, nSessions, nDev int) *degradePlane {
 		budgetSum: make([]float64, nSessions),
 		retainSum: make([]float64, nSessions),
 		servedN:   make([]int, nSessions),
-		scaled:    make([][]*hwsim.Sim, nDev),
 	}
-	p.maxLevel = p.pol.MaxLevel()
 	for s := range p.lastLat {
 		p.lastLat[s] = math.NaN()
 	}
@@ -110,29 +103,6 @@ func (e *engine) budgetOf(s int) float64 {
 		return 1
 	}
 	return e.deg.pol.Budget(e.deg.level[s])
-}
-
-// simFor returns device d's simulator scaled to session s's current budget:
-// the undegraded shared Sim at level 0, a cached Scaled copy otherwise. All
-// engine pricing (frame steps, query chunks, TPOT, OOM admission) goes
-// through it, so a degraded session's work is cheaper everywhere at once.
-func (e *engine) simFor(d, s int) *hwsim.Sim {
-	if e.deg == nil {
-		return e.sims[d]
-	}
-	lvl := e.deg.level[s]
-	if lvl <= 0 {
-		return e.sims[d]
-	}
-	row := e.deg.scaled[d]
-	if row == nil {
-		row = make([]*hwsim.Sim, e.deg.maxLevel+1)
-		e.deg.scaled[d] = row
-	}
-	if row[lvl] == nil {
-		row[lvl] = e.sims[d].Scaled(e.deg.pol.Budget(lvl))
-	}
-	return row[lvl]
 }
 
 // degradeSignals samples the controller inputs for session s on device d at

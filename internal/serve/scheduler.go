@@ -353,7 +353,7 @@ func (e *engine) admitFrame(d int, it readyItem, start float64) (paging float64,
 	e.degradeDecide(s, d, it.at)
 	sc := e.classes[e.sessions[s].class].Stream
 	ok = !(e.cfg.DropThreshold > 0 && start-it.at > e.cfg.DropThreshold*(1/sc.FPS)) &&
-		!e.simFor(d, s).OOM(e.kv[s], 1)
+		!e.sims[d].OOM(hwsim.StepReq{KVLen: e.kv[s], RatioScale: e.budgetOf(s)})
 	if ok && e.plane != nil {
 		pool := e.plane.pools[d]
 		var growSpill float64
@@ -389,16 +389,12 @@ func (e *engine) serveFrames(d int, members []batchMember, at float64) {
 	reqs := e.reqs[:0]
 	for _, mb := range members {
 		sc := e.classes[e.sessions[mb.it.session].class].Stream
-		req := hwsim.StepReq{
+		// Per-member budget scale: degraded members cheapen the coalesced
+		// step (and the serial OOM fallback below inherits it per request).
+		reqs = append(reqs, hwsim.StepReq{
 			NewTokens: sc.TokensPerFrame, KVLen: e.kv[mb.it.session],
-			Stage: hwsim.StageFramePhase,
-		}
-		if e.deg != nil {
-			// Per-member budget scale: degraded members cheapen the coalesced
-			// step (and the serial OOM fallback below inherits it per request).
-			req.RatioScale = e.budgetOf(mb.it.session)
-		}
-		reqs = append(reqs, req)
+			Stage: hwsim.StageFramePhase, RatioScale: e.budgetOf(mb.it.session),
+		})
 		paging += mb.paging
 	}
 	b := e.sims[d].Step(reqs)
@@ -466,13 +462,21 @@ func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
 		paging = growSpill + pageIn + pageOut
 		e.profPaging(d, start, growSpill+pageOut, pageIn)
 	}
-	sim := e.simFor(d, s)
-	total := sim.Chunk(sc.QueryTokens, e.kv[s], 1, hwsim.StageTextPhase).Total
+	// Prefill, then one decode step per answer token, each a solo step at
+	// the session's budget scale.
+	reqs := append(e.reqs[:0], hwsim.StepReq{
+		NewTokens: sc.QueryTokens, KVLen: e.kv[s],
+		Stage: hwsim.StageTextPhase, RatioScale: e.budgetOf(s),
+	})
+	total := e.sims[d].Step(reqs).Total
 	e.kv[s] += sc.QueryTokens
+	reqs[0].NewTokens = 1
 	for i := 0; i < sc.AnswerTokens; i++ {
-		total += sim.TPOT(e.kv[s], 1).Total
+		reqs[0].KVLen = e.kv[s]
+		total += e.sims[d].Step(reqs).Total
 		e.kv[s]++
 	}
+	e.reqs = reqs[:0]
 	dev.Free = start + paging + total
 	dev.Busy += paging + total
 	e.profCharge(paging + total)

@@ -105,7 +105,10 @@ func runSerial(cfg Config) Result {
 			continue
 		}
 		e.pending[ev.session]--
-		b := e.simFor(sess.device, ev.session).FrameLatency(sc.TokensPerFrame, e.kv[ev.session], 1)
+		b := e.sims[sess.device].Step([]hwsim.StepReq{{
+			NewTokens: sc.TokensPerFrame, KVLen: e.kv[ev.session],
+			Stage: hwsim.StageFramePhase, RatioScale: e.budgetOf(ev.session),
+		}})
 		dev.Free = start + paging + b.Total
 		dev.Busy += paging + b.Total
 		e.kv[ev.session] += sc.TokensPerFrame

@@ -727,8 +727,7 @@ func newEngine(cfg Config) *engine {
 	var pageAcct *kvpool.Account
 	if e.prof != nil {
 		// One compute-phase account across the fleet: homogeneous fleets
-		// share a sim, heterogeneous ones each point at the same account,
-		// and degradation-scaled copies inherit the pointer via Scaled.
+		// share a sim, heterogeneous ones each point at the same account.
 		for d := range sims {
 			sims[d].Phases = &e.prof.Sim
 		}
@@ -741,7 +740,7 @@ func newEngine(cfg Config) *engine {
 			e.devs[d].FreePages = e.devs[d].CapacityPages
 		}
 	}
-	e.deg = newDegradePlane(cfg, len(sessions), nDev)
+	e.deg = newDegradePlane(cfg, len(sessions))
 	e.initScheduler()
 	return e
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"vrex/internal/report"
 	"vrex/internal/serve"
 )
 
@@ -238,43 +237,3 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 // formatBound renders a bucket bound compactly and stably (%g keeps
 // 0.0001 .. 13.1072 readable without trailing zeros).
 func formatBound(v float64) string { return fmt.Sprintf("%g", v) }
-
-// CounterTable renders the event counters as a report table.
-func (m *Metrics) CounterTable() *report.Table {
-	t := report.NewTable("Event counters", "kind", "class", "device", "count")
-	for _, c := range m.Counters {
-		t.AddRow(c.Kind.String(), c.Class, c.Device, c.Count)
-	}
-	return t
-}
-
-// HistogramTable renders the non-empty buckets of every latency histogram.
-func (m *Metrics) HistogramTable() *report.Table {
-	t := report.NewTable("Latency histograms (log buckets)", "op", "class", "le_ms", "count", "cum")
-	for _, h := range m.Histograms {
-		cum := 0
-		for i, n := range h.Counts {
-			cum += n
-			if n == 0 {
-				continue
-			}
-			le := "+Inf"
-			if i < len(latencyBounds) {
-				le = formatBound(latencyBounds[i] * 1e3)
-			}
-			t.AddRow(h.Op, h.Class, le, n, cum)
-		}
-	}
-	return t
-}
-
-// WindowTable renders the windowed time-series.
-func (m *Metrics) WindowTable() *report.Table {
-	t := report.NewTable("Windowed series", "t0", "served", "dropped", "missed",
-		"queries", "degraded", "restored", "migrations", "active")
-	for _, w := range m.Windows {
-		t.AddRow(w.Start, w.FramesServed, w.FramesDropped, w.DeadlineMisses,
-			w.QueriesServed, w.Degraded, w.Restored, w.Migrations, w.ActiveSessions)
-	}
-	return t
-}

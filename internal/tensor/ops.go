@@ -69,13 +69,6 @@ func Bf16Round(v float32) float32 {
 	return math.Float32frombits(bits)
 }
 
-// Bf16RoundSlice rounds every element of xs to bfloat16 precision in place.
-func Bf16RoundSlice(xs []float32) {
-	for i, v := range xs {
-		xs[i] = Bf16Round(v)
-	}
-}
-
 // QuantizeInt4 quantises xs into 4-bit codes with a single per-group scale
 // and zero-point (asymmetric, group = whole slice), returning the codes and
 // the (scale, minimum) needed to dequantise. This models Oaken-style online

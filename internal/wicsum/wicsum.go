@@ -266,13 +266,3 @@ func (s *Selector) selectChunk(ws *rowScratch, masses [][]float32, counts []int,
 		}
 	}
 }
-
-// SelectedTokenCount returns the number of tokens covered by the union given
-// per-cluster token counts.
-func (m MatrixSelection) SelectedTokenCount(counts []int) int {
-	n := 0
-	for _, j := range m.Union {
-		n += counts[j]
-	}
-	return n
-}

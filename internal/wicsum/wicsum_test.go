@@ -243,9 +243,6 @@ func TestSelectMatrixUnion(t *testing.T) {
 	if len(res.Union) != 2 || res.Union[0] != 0 || res.Union[1] != 1 {
 		t.Fatalf("union = %v, want [0 1]", res.Union)
 	}
-	if res.SelectedTokenCount(counts) != 2 {
-		t.Fatal("token count wrong")
-	}
 }
 
 func TestSelectMatrixPerRowAdaptivity(t *testing.T) {
